@@ -10,7 +10,9 @@ variation measures how the maxima of glued patterns must differ.
 
 Overlap and variation quantify over all pairs of language words, so they are
 computed under a length cap with a stability probe: a value is reported as
-settled only if enlarging the cap does not change it.
+settled only if enlarging the cap does not change it.  Both read the domain
+only through its span, so each is computed once per (pattern, span, cap)
+and cached, like the plain language measures.
 """
 
 from __future__ import annotations
@@ -263,7 +265,8 @@ def overlap_of_words(spec: PatternSpec, v: str, w: str, d: Domain) -> int:
     return len(v) + len(w) - shortest + 1
 
 
-def _max_overlap(spec: PatternSpec, d: Domain, cap: int) -> int:
+@lru_cache(maxsize=None)
+def _max_overlap(spec: PatternSpec, span: int, cap: int) -> int:
     """Maximum of overlap_of_words over all word pairs up to the cap.
 
     Searches seam lengths from long to short: overlap k + 1 needs some
@@ -271,7 +274,6 @@ def _max_overlap(spec: PatternSpec, d: Domain, cap: int) -> int:
     overlay leaves the language and stays supportable.  The first seam
     length that admits a witness gives the maximum.
     """
-    span = d.span
     if span < height(spec):
         return 0
     words = [u for u in language_words(spec, cap) if u]
@@ -321,7 +323,12 @@ def overlap(spec: PatternSpec, d: Domain, cap: Optional[int] = None) -> CharValu
     """Maximum overlap over all pairs of language words, cap-stabilized."""
     if cap is None:
         cap = default_cap(spec)
-    return _stabilize(lambda c: _max_overlap(spec, d, c), cap)
+    return _overlap(spec, d.span, cap)
+
+
+@lru_cache(maxsize=None)
+def _overlap(spec: PatternSpec, span: int, cap: int) -> CharValue:
+    return _stabilize(lambda c: _max_overlap(spec, span, c), cap)
 
 
 # --------------------------------------------------------------------------
@@ -386,7 +393,8 @@ class _MixedSigns(Exception):
     pass
 
 
-def _variation_at(spec: PatternSpec, d: Domain, cap: int) -> int:
+@lru_cache(maxsize=None)
+def _variation_at(spec: PatternSpec, span: int, cap: int) -> int:
     """Smallest-magnitude variation over overlapping pairs at one cap.
 
     Raises _MixedSigns when both a positive and a negative variation occur.
@@ -398,8 +406,9 @@ def _variation_at(spec: PatternSpec, d: Domain, cap: int) -> int:
     to zero.  Pairs where both strict letters are present therefore vary by
     exactly 0, and it suffices to find one such pair that overlaps at all.
     """
-    if _max_overlap(spec, d, cap) == 0:
+    if _max_overlap(spec, span, cap) == 0:
         return 0
+    d = Domain(0, span)
     words = [u for u in language_words(spec, cap) if u]
     no_gt = [u for u in words if GT not in u]
     no_lt = [u for u in words if LT not in u]
@@ -437,8 +446,13 @@ def smallest_variation(
     """
     if cap is None:
         cap = default_cap(spec)
+    return _smallest_variation(spec, d.span, cap)
+
+
+@lru_cache(maxsize=None)
+def _smallest_variation(spec: PatternSpec, span: int, cap: int) -> CharValue:
     try:
-        return _stabilize(lambda c: _variation_at(spec, d, c), cap)
+        return _stabilize(lambda c: _variation_at(spec, span, c), cap)
     except _MixedSigns:
         return CharValue.undefined()
 

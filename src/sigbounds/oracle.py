@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import bounds as bounds_mod
 from .bounds import BoundError, BoundResult, Side
-from .characteristics import CharValue, default_cap, shift
+from .characteristics import CharValue, _stabilize, default_cap, shift
 from .series import (
     Aggregator,
     DEFAULT_POLICY,
@@ -25,6 +25,7 @@ from .series import (
     ExtendedInt,
     Feature,
     MINUS_INF,
+    Occurrence,
     PLUS_INF,
     PatternSpec,
     TimeSeries,
@@ -218,17 +219,6 @@ def _raw_max_overlap(
     return best
 
 
-def _probe(measure: Callable[[int], int], cap: int) -> CharValue:
-    v0 = measure(cap)
-    v2 = measure(cap + 2)
-    if v0 == v2:
-        return CharValue.defined(v0)
-    v1 = measure(cap + 1)
-    if v0 < v1 < v2:
-        return CharValue.unbounded(cap + 2)
-    return CharValue.cap_limited(v2, cap + 2)
-
-
 def brute_overlap(
     spec: PatternSpec,
     d: Domain,
@@ -239,7 +229,7 @@ def brute_overlap(
     if cap is None:
         cap = default_cap(spec)
     counter = [budget]
-    return _probe(lambda c: _raw_max_overlap(spec, d, c, counter), cap)
+    return _stabilize(lambda c: _raw_max_overlap(spec, d, c, counter), cap)
 
 
 def _raw_superpositions(
@@ -301,7 +291,7 @@ def brute_variation(
         cap = default_cap(spec)
     counter = [budget]
     try:
-        return _probe(lambda c: _raw_variation(spec, d, c, counter), cap)
+        return _stabilize(lambda c: _raw_variation(spec, d, c, counter), cap)
     except _BruteMixed:
         return CharValue.undefined()
 
@@ -407,8 +397,13 @@ def _cell_extrema(
 ) -> dict[tuple[Aggregator, Feature], ExtremaResult]:
     """One enumeration pass serving several aggregator/feature pairs."""
     trackers = {gf: ExtremaResult(n, d) for gf in set(gfs)}
+    # occurrences depend only on the signature, and many series share one
+    occs_by_sig: dict[str, list[Occurrence]] = {}
     for t in enumerate_series(n, d):
-        occs = maximal_occurrences(spec, signature(t))
+        sig = signature(t)
+        occs = occs_by_sig.get(sig)
+        if occs is None:
+            occs = occs_by_sig[sig] = maximal_occurrences(spec, sig)
         feats: dict[Feature, list[int]] = {}
         for (g, f), tracker in trackers.items():
             if occs:

@@ -50,11 +50,20 @@ def _fail(prop: str, condition: str) -> PropertyCheck:
 def occurrence_feasible(spec: PatternSpec, n: int, d: Domain) -> bool:
     """Whether any series of length n over d admits an occurrence.
 
-    Equivalent to exhaustive search whenever some shortest word attains
-    the minimal height, which holds for the whole catalogue: that word
-    padded with equalities supports itself within the domain.
+    Exactly when some nonempty language word of length at most n - 1 has
+    height at most the span: padding such a word with equalities keeps its
+    height, and a factor is never higher than its word.
     """
-    return n > chars.width(spec) and d.span >= chars.height(spec)
+    shortest = _shortest_supportable(spec, d.span)
+    return shortest is not None and shortest <= n - 1
+
+
+@lru_cache(maxsize=None)
+def _shortest_supportable(spec: PatternSpec, span: int) -> Optional[int]:
+    """Length of a shortest nonempty language word of height <= span."""
+    return spec.aut.intersect(
+        sigregex.bounded_height_automaton(span)
+    ).shortest_nonempty_length()
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,7 @@ smallest variation, and the cap-stabilization protocol behind the last two."""
 
 import pytest
 
+from sigbounds import catalogue as cat
 from sigbounds import characteristics as ch
 from sigbounds import sigregex
 from sigbounds.characteristics import (
@@ -215,6 +216,23 @@ class TestSmallestVariation:
             == CharValue.defined(0)
         assert ch.smallest_variation(ZIGZAG, Domain(0, 2)) \
             == CharValue.defined(0)
+
+
+class TestSpanKey:
+    CACHED = (ch._overlap, ch._smallest_variation, ch._max_overlap,
+              ch._variation_at)
+
+    @pytest.mark.parametrize("entry", cat.all_entries(), ids=lambda e: e.name)
+    def test_shifted_domain_and_cold_cache_agree(self, entry):
+        spec = entry.spec
+        warm = (ch.overlap(spec, Domain(0, 2)),
+                ch.smallest_variation(spec, Domain(0, 2)))
+        assert (ch.overlap(spec, Domain(5, 7)),
+                ch.smallest_variation(spec, Domain(5, 7))) == warm
+        for fn in self.CACHED:
+            fn.cache_clear()
+        assert (ch.overlap(spec, Domain(5, 7)),
+                ch.smallest_variation(spec, Domain(5, 7))) == warm
 
 
 class TestReport:

@@ -6,11 +6,13 @@ import math
 import pytest
 
 from sigbounds import bounds as bd
+from sigbounds import catalogue as cat
 from sigbounds import oracle as orc
 from sigbounds.bounds import BoundResult, Side
 from sigbounds.characteristics import CharValue
 from sigbounds.series import (
     Aggregator,
+    DEFAULT_POLICY,
     Domain,
     Feature,
     PatternSpec,
@@ -65,6 +67,27 @@ class TestBruteExtrema:
             orc.brute_extrema(PEAK, Feature.ONE, Aggregator.SUM,
                               30, Domain(0, 1))
         assert orc.check_budget(10, Domain(0, 1)) == 1024
+
+
+class TestCellExtrema:
+    @pytest.mark.parametrize("name", ["peak", "zigzag", "decreasing_terrace",
+                                      "steady_sequence"])
+    def test_signature_memo_matches_brute_force(self, name):
+        spec = cat.lookup(name).spec
+        gfs = [(g, f) for g, f, _ in orc.GF_SUPPORTED]
+        for d in (Domain(0, 1), Domain(0, 2)):
+            for n in range(2, 7):
+                cells = orc._cell_extrema(spec, n, d, gfs, DEFAULT_POLICY)
+                for g, f in gfs:
+                    got = cells[(g, f)]
+                    ref = orc.brute_extrema(spec, f, g, n, d)
+                    assert _extrema_fields(got) == _extrema_fields(ref), \
+                        (name, g, f, n, d)
+
+
+def _extrema_fields(ex):
+    return (ex.min_all, ex.max_all, ex.min_occ, ex.max_occ, ex.count,
+            ex.witness_min, ex.witness_max)
 
 
 class TestRawCharacteristics:

@@ -33,6 +33,21 @@ class TestOccurrenceFeasible:
                 )
                 assert pr.occurrence_feasible(PEAK, n, d) == found
 
+    def test_shortest_word_too_tall_for_the_domain(self):
+        # "<<" is the shortest word but needs span 2; over [0,1] the
+        # first supportable word is "<><>", so n must reach 5
+        from sigbounds.series import enumerate_series, maximal_occurrences, \
+            signature
+        spec = PatternSpec("tall_first", "<<|<><>")
+        d = Domain(0, 1)
+        for n in range(2, 7):
+            found = any(
+                maximal_occurrences(spec, signature(t))
+                for t in enumerate_series(n, d)
+            )
+            assert found == (n >= 5)
+            assert pr.occurrence_feasible(spec, n, d) == found
+
 
 class TestMinimalWords:
     def test_shortest_words_of_least_height(self):
