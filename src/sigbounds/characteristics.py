@@ -133,6 +133,17 @@ def width(spec: PatternSpec) -> int:
     return w
 
 
+@lru_cache(maxsize=32)
+def _supportable(spec: PatternSpec, h: int) -> sigregex.Automaton:
+    """The language restricted to words of height at most h.
+
+    One pattern's analysis asks for a few heights in a row, so a short
+    cache serves it; an unbounded one would keep every product of every
+    pattern ever analysed.
+    """
+    return spec.aut.intersect(bounded_height_automaton(h))
+
+
 @lru_cache(maxsize=None)
 def height(spec: PatternSpec) -> int:
     """Smallest h such that some language word has height h.
@@ -140,7 +151,7 @@ def height(spec: PatternSpec) -> int:
     Never exceeds the width, since a word of length k has height at most k.
     """
     for h in range(width(spec) + 1):
-        if not spec.aut.intersect(bounded_height_automaton(h)).is_empty:
+        if not _supportable(spec, h).is_empty:
             return h
     raise AssertionError("height must not exceed width")
 
@@ -154,8 +165,7 @@ def range_of(spec: PatternSpec, n: int) -> CharValue:
     if n < 2:
         raise CharacteristicsError("series length must be at least 2")
     for h in range(n):
-        prod = spec.aut.intersect(bounded_height_automaton(h))
-        if prod.exists_word_of_length(n - 1):
+        if _supportable(spec, h).exists_word_of_length(n - 1):
             return CharValue.defined(h)
     return CharValue.undefined()
 

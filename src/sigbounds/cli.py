@@ -35,7 +35,7 @@ from .series import (
     PatternSpec,
     SeriesError,
     TimeSeries,
-    evaluate,
+    aggregate,
     ext_to_json,
     feature_of,
     fmt_ext,
@@ -279,14 +279,15 @@ def cmd_eval(gf: str, pattern: str, series: str, fmt: str) -> None:
         spec = _resolve(pattern)
         t = TimeSeries.from_text(series)
         occs = maximal_occurrences(spec, signature(t))
-        value = evaluate(spec, f, g, t)
+        feats = [feature_of(spec, f, t, occ) for occ in occs]
+        value = aggregate(g, feats)
         details = []
-        for occ in occs:
+        for occ, feat in zip(occs, feats):
             trim_lo, trim_hi = occ.trimmed(spec.a, spec.b)
             details.append({
                 "i": occ.i, "j": occ.j,
                 "trim_lo": trim_lo, "trim_hi": trim_hi,
-                f.value: feature_of(spec, f, t, occ),
+                f.value: feat,
             })
     except _INPUT_ERRORS as exc:
         _fail(2, str(exc))

@@ -29,6 +29,7 @@ from .series import (
     PLUS_INF,
     PatternSpec,
     TimeSeries,
+    aggregate,
     enumerate_series,
     feature_of,
     maximal_occurrences,
@@ -56,24 +57,6 @@ def _spend(counter: list[int], amount: int = 1) -> None:
     counter[0] -= amount
     if counter[0] < 0:
         raise BudgetExceededError("enumeration budget exhausted")
-
-
-def _aggregate(
-    spec: PatternSpec,
-    f: Feature,
-    g: Aggregator,
-    t: TimeSeries,
-    occs,
-    policy: DefaultPolicy,
-) -> ExtendedInt:
-    if not occs:
-        return policy.default(g)
-    vals = [feature_of(spec, f, t, o) for o in occs]
-    if g is Aggregator.SUM:
-        return sum(vals)
-    if g is Aggregator.MAX:
-        return max(vals)
-    return min(vals)
 
 
 # --------------------------------------------------------------------------
@@ -154,7 +137,8 @@ def brute_extrema(
     out = ExtremaResult(n, d)
     for t in enumerate_series(n, d):
         occs = maximal_occurrences(spec, signature(t))
-        out.update(t, _aggregate(spec, f, g, t, occs, policy), bool(occs))
+        vals = [feature_of(spec, f, t, o) for o in occs]
+        out.update(t, aggregate(g, vals, policy), bool(occs))
     return out
 
 
@@ -406,20 +390,10 @@ def _cell_extrema(
             occs = occs_by_sig[sig] = maximal_occurrences(spec, sig)
         feats: dict[Feature, list[int]] = {}
         for (g, f), tracker in trackers.items():
-            if occs:
-                vals = feats.get(f)
-                if vals is None:
-                    vals = [feature_of(spec, f, t, o) for o in occs]
-                    feats[f] = vals
-                if g is Aggregator.SUM:
-                    val: ExtendedInt = sum(vals)
-                elif g is Aggregator.MAX:
-                    val = max(vals)
-                else:
-                    val = min(vals)
-            else:
-                val = policy.default(g)
-            tracker.update(t, val, bool(occs))
+            vals = feats.get(f)
+            if vals is None:
+                vals = feats[f] = [feature_of(spec, f, t, o) for o in occs]
+            tracker.update(t, aggregate(g, vals, policy), bool(occs))
     return trackers
 
 

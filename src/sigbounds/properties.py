@@ -61,9 +61,7 @@ def occurrence_feasible(spec: PatternSpec, n: int, d: Domain) -> bool:
 @lru_cache(maxsize=None)
 def _shortest_supportable(spec: PatternSpec, span: int) -> Optional[int]:
     """Length of a shortest nonempty language word of height <= span."""
-    return spec.aut.intersect(
-        sigregex.bounded_height_automaton(span)
-    ).shortest_nonempty_length()
+    return chars._supportable(spec, span).shortest_nonempty_length()
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,12 @@ A time series is a nonempty tuple of integers.  Its signature is the word of
 comparison letters between consecutive values, so a series of length n has a
 signature of length n - 1.  A pattern finds its matches inside the signature;
 each maximal match is trimmed by the pattern's border constants before a
-feature is read off the covered values.
+feature is read off the covered values, and :func:`aggregate` combines the
+feature values.
+
+The maximal matches come from one backward pass over the signature that
+keeps, per automaton state, the furthest end of an accepted run, followed by
+a running maximum over the starts: linear in the signature length.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
 from . import sigregex
@@ -269,35 +275,61 @@ def supporting_series(word: str, d: Domain) -> list[TimeSeries]:
     return list(iter_supporting_series(word, d))
 
 
-def match_spans(aut: Automaton, s: str) -> list[tuple[int, int]]:
-    """All 1-based spans (i, j) such that s[i..j] is in the language."""
-    check_word(s)
-    out = []
-    m = len(s)
-    for i in range(m):
-        cur = aut.initial
-        for j in range(i, m):
-            cur = aut.step(cur, s[j])
-            if not cur:
-                break
-            if cur & aut.accepting:
-                out.append((i + 1, j + 1))
-    return out
+@lru_cache(maxsize=None)
+def _scan_tables(spec: PatternSpec):
+    """Per-letter tables of ``spec.aut`` for the occurrence scan.
+
+    For each letter: the tuple of its arcs ``(q, r)`` and the tuple of the
+    states it leads to from an initial state.  Also the accepting states.
+    """
+    aut = spec.aut
+    arcs = {ch: tuple((q, r) for q, c, r in sorted(aut.transitions) if c == ch)
+            for ch in ALPHABET}
+    starts = {ch: tuple(sorted({r for q, r in arcs[ch] if q in aut.initial}))
+              for ch in ALPHABET}
+    return arcs, starts, tuple(sorted(aut.accepting))
 
 
 def maximal_occurrences(spec: PatternSpec, s: str) -> list[Occurrence]:
-    """Matches not strictly contained in another match, sorted by position."""
-    spans = match_spans(spec.aut, s)
+    """Matches not strictly contained in another match, sorted by position.
+
+    One backward pass finds the longest nonempty match from every start:
+    ``far[q]`` is the furthest end of a run that starts in state ``q`` at
+    the current position and stops in an accepting state, or -1.  Only the
+    longest match from a start can be maximal, and it is maximal iff it
+    ends beyond the longest match of every earlier start, which a forward
+    running maximum decides.  Time O(|s| * arcs), space O(|s|).
+    """
+    check_word(s)
+    arcs, starts, accepting = _scan_tables(spec)
+    n_states = spec.aut.n_states
+    m = len(s)
+    far = [-1] * n_states
+    for q in accepting:
+        far[q] = m
+    # ends[i]: 1-based end of the longest match starting at i + 1, or -1
+    ends = [-1] * m
+    i = m
+    for ch in reversed(s):
+        i -= 1
+        e = -1
+        for r in starts[ch]:
+            if far[r] > e:
+                e = far[r]
+        ends[i] = e
+        nxt = [-1] * n_states
+        for q in accepting:
+            nxt[q] = i
+        for q, r in arcs[ch]:
+            if far[r] > nxt[q]:
+                nxt[q] = far[r]
+        far = nxt
     out = []
-    for i, j in spans:
-        maximal = True
-        for i2, j2 in spans:
-            if (i2, j2) != (i, j) and i2 <= i and j <= j2:
-                maximal = False
-                break
-        if maximal:
-            out.append(Occurrence(i, j))
-    out.sort()
+    reach = -1
+    for i, e in enumerate(ends, 1):
+        if e > reach:
+            out.append(Occurrence(i, e))
+            reach = e
     return out
 
 
@@ -323,6 +355,23 @@ def feature_of(spec: PatternSpec, f: Feature, t: TimeSeries,
     raise TypeError(f"unknown feature {f!r}")
 
 
+def aggregate(
+    g: Aggregator,
+    vals: Sequence[int],
+    policy: DefaultPolicy = DEFAULT_POLICY,
+) -> ExtendedInt:
+    """Combine feature values with ``g``; the policy default when empty."""
+    if not vals:
+        return policy.default(g)
+    if g is Aggregator.SUM:
+        return sum(vals)
+    if g is Aggregator.MAX:
+        return max(vals)
+    if g is Aggregator.MIN:
+        return min(vals)
+    raise TypeError(f"unknown aggregator {g!r}")
+
+
 def evaluate(
     spec: PatternSpec,
     f: Feature,
@@ -335,16 +384,7 @@ def evaluate(
     With no occurrence the policy default applies.
     """
     occs = maximal_occurrences(spec, signature(t))
-    if not occs:
-        return policy.default(g)
-    feats = [feature_of(spec, f, t, o) for o in occs]
-    if g is Aggregator.SUM:
-        return sum(feats)
-    if g is Aggregator.MAX:
-        return max(feats)
-    if g is Aggregator.MIN:
-        return min(feats)
-    raise TypeError(f"unknown aggregator {g!r}")
+    return aggregate(g, [feature_of(spec, f, t, o) for o in occs], policy)
 
 
 def enumerate_series(n: int, d: Domain) -> Iterator[TimeSeries]:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from sigbounds.series import Occurrence, PatternSpec
 from sigbounds.sigregex import (
+    Automaton,
     Concat,
     Empty,
     Epsilon,
@@ -10,6 +12,7 @@ from sigbounds.sigregex import (
     Regex,
     Star,
     Union,
+    check_word,
 )
 
 NEG = float("-inf")
@@ -96,3 +99,41 @@ def naive_matches(node: Regex, word: str) -> bool:
         )
 
     return go(node, word)
+
+
+def naive_match_spans(aut: Automaton, s: str) -> list[tuple[int, int]]:
+    """All 1-based spans (i, j) such that s[i..j] is in the language.
+
+    Runs the automaton from every start, so it costs O(len(s)**2) steps.
+    """
+    check_word(s)
+    out = []
+    m = len(s)
+    for i in range(m):
+        cur = aut.initial
+        for j in range(i, m):
+            cur = aut.step(cur, s[j])
+            if not cur:
+                break
+            if cur & aut.accepting:
+                out.append((i + 1, j + 1))
+    return out
+
+
+def naive_maximal_occurrences(spec: PatternSpec, s: str) -> list[Occurrence]:
+    """Matches not strictly contained in another match, by the definition.
+
+    Compares every pair of matches, so it is quadratic in their number.
+    """
+    spans = naive_match_spans(spec.aut, s)
+    out = []
+    for i, j in spans:
+        maximal = True
+        for i2, j2 in spans:
+            if (i2, j2) != (i, j) and i2 <= i and j <= j2:
+                maximal = False
+                break
+        if maximal:
+            out.append(Occurrence(i, j))
+    out.sort()
+    return out

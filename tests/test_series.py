@@ -1,11 +1,18 @@
 """Ground semantics: signatures, occurrences, features, enumeration."""
 
+import itertools
+import json
 import math
+import random
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
+from helpers import naive_match_spans, naive_maximal_occurrences
+from sigbounds import catalogue as cat
 from sigbounds import series as se
+from sigbounds.cli import main
 from sigbounds.series import (
     Aggregator,
     DefaultPolicy,
@@ -22,6 +29,26 @@ from sigbounds.series import (
 FIGURE = TimeSeries((4, 4, 0, 0, 2, 4, 4, 7, 4, 0, 0, 2, 2, 2, 2, 2, 2, 0))
 PEAK = PatternSpec("peak", "<(<|=)*(>|=)*>", a=1, b=1)
 GORGE = PatternSpec("gorge", "(>(>|=)*)*><((<|=)*<)*", a=1, b=1)
+# catalogue patterns plus raw ones: a union of fixed lengths, nullable and
+# star-heavy languages, the empty language and the empty word
+SCAN_SPECS = [e.spec for e in cat.all_entries()] + [
+    PatternSpec(f"raw_{k}", expr)
+    for k, expr in enumerate(("<<|<><>", "(<|=)*>?", "<*>*|=", "0", "1"))
+]
+
+SHORT_WORDS = ["".join(w) for k in range(8)
+               for w in itertools.product("<=>", repeat=k)]
+_rng = random.Random(20161)
+LONG_WORDS = ["".join(_rng.choice("<=>") for _ in range(_rng.randint(9, 80)))
+              for _ in range(60)]
+
+
+def _walk(n: int, seed: int) -> TimeSeries:
+    rng = random.Random(seed)
+    vals = [0]
+    for _ in range(n - 1):
+        vals.append(vals[-1] + rng.choice((-1, 0, 1)))
+    return TimeSeries(tuple(vals))
 
 
 class TestSignature:
@@ -109,7 +136,50 @@ class TestMaximalOccurrences:
 
     def test_match_spans_lists_every_match(self):
         spec = PatternSpec("runs", "<+")
-        assert se.match_spans(spec.aut, "<<") == [(1, 1), (1, 2), (2, 2)]
+        assert naive_match_spans(spec.aut, "<<") == [(1, 1), (1, 2), (2, 2)]
+
+    def test_invalid_letter_rejected(self):
+        with pytest.raises(ValueError):
+            se.maximal_occurrences(PEAK, "<x>")
+
+
+class TestScanMatchesDefinition:
+    """The linear scan against the quadratic definition in ``helpers``."""
+
+    @pytest.mark.parametrize("spec", SCAN_SPECS, ids=lambda s: s.name)
+    def test_every_short_and_sampled_long_word(self, spec):
+        for w in SHORT_WORDS + LONG_WORDS:
+            assert se.maximal_occurrences(spec, w) == \
+                naive_maximal_occurrences(spec, w), w
+
+
+class TestLongSeries:
+    """Inputs on which a quadratic scan would run for hours."""
+
+    def test_constant_word_is_one_steady_sequence(self):
+        steady = cat.lookup("steady_sequence").spec
+        assert se.maximal_occurrences(steady, "=" * 99_999) == [
+            Occurrence(1, 99_999)]
+
+    def test_constant_word_has_no_increase(self):
+        increasing = cat.lookup("increasing").spec
+        assert se.maximal_occurrences(increasing, "=" * 99_999) == []
+
+    @pytest.mark.parametrize("name", ["peak", "inflexion"])
+    def test_random_walk_matches_definition(self, name):
+        spec = cat.lookup(name).spec
+        sig = se.signature(_walk(3000, seed=7))
+        got = se.maximal_occurrences(spec, sig)
+        assert got and got == naive_maximal_occurrences(spec, sig)
+
+    def test_cli_eval_on_constant_series(self):
+        # in process: the series is too long for one command-line argument
+        series = ",".join(["0"] * 100_000)
+        res = CliRunner().invoke(
+            main, ["eval", "sum_width", "steady_sequence", "--series", series,
+                   "--format", "json"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["value"] == 100_000
 
 
 class TestEvaluate:
@@ -143,6 +213,18 @@ class TestEvaluate:
         got = se.evaluate(PEAK, Feature.WIDTH, Aggregator.MAX, flat,
                           policy=se.NEUTRAL_POLICY)
         assert got == -math.inf
+
+    def test_aggregate_combines_values(self):
+        vals = [3, 1, 2]
+        assert se.aggregate(Aggregator.SUM, vals) == 6
+        assert se.aggregate(Aggregator.MAX, vals) == 3
+        assert se.aggregate(Aggregator.MIN, vals) == 1
+
+    def test_aggregate_of_nothing_is_the_policy_default(self):
+        for g in Aggregator:
+            assert se.aggregate(g, []) == se.DEFAULT_POLICY.default(g)
+            assert se.aggregate(g, [], se.NEUTRAL_POLICY) == \
+                se.NEUTRAL_POLICY.default(g)
 
     def test_policy_defaults(self):
         p = DefaultPolicy()
