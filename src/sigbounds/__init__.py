@@ -1,6 +1,8 @@
 """Regex characteristics over the {<,=,>} alphabet, time-series constraint
 evaluation, sharp result-variable bounds, and brute-force certification."""
 
+from types import ModuleType as _ModuleType
+
 from .sigregex import (
     ALPHABET,
     EQ,
@@ -120,108 +122,8 @@ from .catalogue import (
 
 __version__ = "0.1.0"
 
+# every public name bound by the imports above, then the version
 __all__ = [
-    "ALPHABET",
-    "LT",
-    "EQ",
-    "GT",
-    "Automaton",
-    "RegexError",
-    "ParseError",
-    "EmptyLanguageError",
-    "NotDisjunctionCapsuledError",
-    "parse",
-    "render",
-    "compile_regex",
-    "bounded_height_automaton",
-    "check_word",
-    "word_key",
-    "Aggregator",
-    "Feature",
-    "Domain",
-    "DomainError",
-    "TimeSeries",
-    "PatternSpec",
-    "Occurrence",
-    "DefaultPolicy",
-    "DEFAULT_POLICY",
-    "NEUTRAL_POLICY",
-    "PLUS_INF",
-    "MINUS_INF",
-    "SeriesError",
-    "EmptyPatternError",
-    "signature",
-    "word_height",
-    "evaluate",
-    "feature_of",
-    "maximal_occurrences",
-    "enumerate_series",
-    "supporting_series",
-    "fmt_ext",
-    "CharKind",
-    "CharValue",
-    "CharacteristicsError",
-    "CharacteristicsReport",
-    "WordNotInLanguageError",
-    "AmbiguousInducingWordError",
-    "width",
-    "height",
-    "range_of",
-    "range_params",
-    "inducing_words",
-    "overlap",
-    "overlap_of_words",
-    "superpositions",
-    "shift",
-    "variation_of_words",
-    "smallest_variation",
-    "default_cap",
-    "report",
-    "PropertiesError",
-    "PropertyCheck",
-    "FixedLengthRegexError",
-    "nb_simple",
-    "nb_overlap",
-    "nb_no_overlap",
-    "width_max",
-    "width_sum",
-    "width_occurrence",
-    "occurrence_feasible",
-    "overlap_class",
-    "is_fixed_length",
-    "minimal_words",
-    "BoundError",
-    "BoundResult",
-    "NotApplicableError",
-    "NotSupportedError",
-    "OverlapExceedsWidthError",
-    "VariationUndefinedError",
-    "PropertyMissingError",
-    "Side",
-    "bound",
-    "nb_lower",
-    "nb_upper",
-    "interval_cap",
-    "max_width_upper",
-    "sum_width_upper",
-    "min_width_lower",
-    "BudgetExceededError",
-    "ExtremaResult",
-    "SweepRow",
-    "SweepReport",
-    "DEFAULT_BUDGET",
-    "GF_SUPPORTED",
-    "brute_extrema",
-    "brute_overlap",
-    "brute_variation",
-    "check_budget",
-    "sharpness_report",
-    "CatalogueEntry",
-    "CatalogueError",
-    "UnknownPatternError",
-    "all_entries",
-    "lookup",
-    "names",
-    "golden_check",
-    "__version__",
-]
+    _name for _name, _value in list(globals().items())
+    if not _name.startswith("_") and not isinstance(_value, _ModuleType)
+] + ["__version__"]

@@ -2,7 +2,9 @@
 
 Five combinations have certified formulas: the occurrence count (sum of
 the one feature, both sides), the largest and the summed occurrence width
-(upper side), and the smallest occurrence width (lower side).  Every
+(upper side), and the smallest occurrence width (lower side).  ``RULES``
+is the one table of them: ``bound`` dispatches through it, and the oracle
+and the CLI derive their lists of supported combinations from it.  Every
 result records which structural properties backed it; sharp is claimed
 only when they all hold, and the exhaustive oracle can then find a series
 attaining the value.
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 from . import characteristics as chars
 from . import properties, sigregex
@@ -95,9 +97,33 @@ def _require_length(n: int) -> None:
         raise ValueError("series length must be at least 2")
 
 
-def _unique_series(n: int, d: Domain) -> TimeSeries:
-    # the only series over a one-value domain
-    return TimeSeries((d.lo,) * n)
+def _infeasible(
+    spec: PatternSpec, n: int, d: Domain, value: ExtendedInt, side: Side
+) -> Optional[BoundResult]:
+    """The result without occurrences, if no series of the shape has one."""
+    if properties.occurrence_feasible(spec, n, d):
+        return None
+    return BoundResult(
+        value, side, True, "occurrence-infeasible",
+        (("no-occurrence-possible", True),),
+    )
+
+
+def _unique_series(
+    spec: PatternSpec, n: int, d: Domain,
+    g: Aggregator, f: Feature, side: Side, source: str,
+) -> BoundResult:
+    """The exact result on the only series over a one-value domain."""
+    value = evaluate(spec, f, g, TimeSeries((d.lo,) * n))
+    return BoundResult(
+        value, side, True, source, (("single-series-domain", True),)
+    )
+
+
+def _range_saturated(spec: PatternSpec, n: int, d: Domain) -> bool:
+    """The domain is wide enough for one occurrence spanning the series."""
+    rng = chars.range_of(spec, n)
+    return rng.is_defined and d.span >= rng.expect()
 
 
 def _settled_overlap(spec: PatternSpec, d: Domain, cap: Optional[int]) -> int:
@@ -135,12 +161,8 @@ def nb_lower(
             0, Side.LOWER, True, "nb-simple-lower", (("nb-simple", True),)
         )
     if d.span == 0:
-        value = evaluate(spec, Feature.ONE, Aggregator.SUM,
-                         _unique_series(n, d))
-        return BoundResult(
-            value, Side.LOWER, True, "unique-series-count",
-            (("single-series-domain", True),),
-        )
+        return _unique_series(spec, n, d, Aggregator.SUM, Feature.ONE,
+                              Side.LOWER, "unique-series-count")
     raise NotApplicableError(
         f"{spec.name}: no lower-bound rule applies over {d}"
     )
@@ -170,18 +192,11 @@ def nb_upper(
 ) -> BoundResult:
     """Sharp upper bound on the number of maximal occurrences."""
     _require_length(n)
-    if not properties.occurrence_feasible(spec, n, d):
-        return BoundResult(
-            0, Side.UPPER, True, "occurrence-infeasible",
-            (("no-occurrence-possible", True),),
-        )
+    if res := _infeasible(spec, n, d, 0, Side.UPPER):
+        return res
     if d.span == 0:
-        value = evaluate(spec, Feature.ONE, Aggregator.SUM,
-                         _unique_series(n, d))
-        return BoundResult(
-            value, Side.UPPER, True, "unique-series-count",
-            (("single-series-domain", True),),
-        )
+        return _unique_series(spec, n, d, Aggregator.SUM, Feature.ONE,
+                              Side.UPPER, "unique-series-count")
     o = _settled_overlap(spec, d, cap)
     w = chars.width(spec)
     if o > w:
@@ -214,20 +229,18 @@ def nb_upper(
 # --------------------------------------------------------------------------
 # Width bounds
 
-def max_width_upper(spec: PatternSpec, n: int, d: Domain) -> BoundResult:
+def max_width_upper(
+    spec: PatternSpec, n: int, d: Domain, cap: Optional[int] = None
+) -> BoundResult:
     """Sharp upper bound on the widest maximal occurrence."""
     _require_length(n)
-    if not properties.occurrence_feasible(spec, n, d):
-        return BoundResult(
-            0, Side.UPPER, True, "occurrence-infeasible",
-            (("no-occurrence-possible", True),),
-        )
+    if res := _infeasible(spec, n, d, 0, Side.UPPER):
+        return res
     wm = properties.width_max(spec)
     if not wm.holds:
         raise PropertyMissingError(["width-max"], wm.failed_condition or "")
     e, c = chars.range_params(spec)
-    rng = chars.range_of(spec, n)
-    if rng.is_defined and d.span >= rng.expect():
+    if _range_saturated(spec, n, d):
         value = n - spec.a - spec.b
     else:
         value = (e * (d.span + 1 - spec.a - spec.b)
@@ -243,11 +256,8 @@ def sum_width_upper(
 ) -> BoundResult:
     """Sharp upper bound on the summed widths of maximal occurrences."""
     _require_length(n)
-    if not properties.occurrence_feasible(spec, n, d):
-        return BoundResult(
-            0, Side.UPPER, True, "occurrence-infeasible",
-            (("no-occurrence-possible", True),),
-        )
+    if res := _infeasible(spec, n, d, 0, Side.UPPER):
+        return res
     wm = properties.width_max(spec)
     ws = properties.width_sum(spec, d, cap)
     missing = [p.prop for p in (wm, ws) if not p.holds]
@@ -257,8 +267,7 @@ def sum_width_upper(
         )
         raise PropertyMissingError(missing, detail)
     e, c = chars.range_params(spec)
-    rng = chars.range_of(spec, n)
-    if rng.is_defined and d.span >= rng.expect():
+    if _range_saturated(spec, n, d):
         value = n - spec.a - spec.b
     else:
         eta = chars.height(spec)
@@ -273,14 +282,13 @@ def sum_width_upper(
     )
 
 
-def min_width_lower(spec: PatternSpec, n: int, d: Domain) -> BoundResult:
+def min_width_lower(
+    spec: PatternSpec, n: int, d: Domain, cap: Optional[int] = None
+) -> BoundResult:
     """Sharp lower bound on the narrowest maximal occurrence."""
     _require_length(n)
-    if not properties.occurrence_feasible(spec, n, d):
-        return BoundResult(
-            PLUS_INF, Side.LOWER, True, "occurrence-infeasible",
-            (("no-occurrence-possible", True),),
-        )
+    if res := _infeasible(spec, n, d, PLUS_INF, Side.LOWER):
+        return res
     try:
         wo = properties.width_occurrence(spec, d)
     except properties.FixedLengthRegexError as e:
@@ -292,12 +300,8 @@ def min_width_lower(spec: PatternSpec, n: int, d: Domain) -> BoundResult:
             (("occurrence-feasible", True), ("width-occurrence", True)),
         )
     if d.span == 0:
-        value = evaluate(spec, Feature.WIDTH, Aggregator.MIN,
-                         _unique_series(n, d))
-        return BoundResult(
-            value, Side.LOWER, True, "unique-series-min-width",
-            (("single-series-domain", True),),
-        )
+        return _unique_series(spec, n, d, Aggregator.MIN, Feature.WIDTH,
+                              Side.LOWER, "unique-series-min-width")
     raise NotApplicableError(
         f"{spec.name}: no width lower-bound rule applies over {d}"
     )
@@ -305,6 +309,15 @@ def min_width_lower(spec: PatternSpec, n: int, d: Domain) -> BoundResult:
 
 # --------------------------------------------------------------------------
 # Dispatch
+
+RULES: dict[tuple[Aggregator, Feature, Side], Callable[..., BoundResult]] = {
+    (Aggregator.SUM, Feature.ONE, Side.LOWER): nb_lower,
+    (Aggregator.SUM, Feature.ONE, Side.UPPER): nb_upper,
+    (Aggregator.MAX, Feature.WIDTH, Side.UPPER): max_width_upper,
+    (Aggregator.SUM, Feature.WIDTH, Side.UPPER): sum_width_upper,
+    (Aggregator.MIN, Feature.WIDTH, Side.LOWER): min_width_lower,
+}
+
 
 def bound(
     g: Aggregator,
@@ -316,17 +329,9 @@ def bound(
     cap: Optional[int] = None,
 ) -> BoundResult:
     """Route a (aggregator, feature, side) request to its bound rule."""
-    key = (g, f, side)
-    if key == (Aggregator.SUM, Feature.ONE, Side.LOWER):
-        return nb_lower(spec, n, d, cap)
-    if key == (Aggregator.SUM, Feature.ONE, Side.UPPER):
-        return nb_upper(spec, n, d, cap)
-    if key == (Aggregator.MAX, Feature.WIDTH, Side.UPPER):
-        return max_width_upper(spec, n, d)
-    if key == (Aggregator.SUM, Feature.WIDTH, Side.UPPER):
-        return sum_width_upper(spec, n, d, cap)
-    if key == (Aggregator.MIN, Feature.WIDTH, Side.LOWER):
-        return min_width_lower(spec, n, d)
-    raise NotSupportedError(
-        f"no closed-form {side.value} bound for {g.value} of {f.value}"
-    )
+    rule = RULES.get((g, f, side))
+    if rule is None:
+        raise NotSupportedError(
+            f"no closed-form {side.value} bound for {g.value} of {f.value}"
+        )
+    return rule(spec, n, d, cap)

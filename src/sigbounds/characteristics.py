@@ -225,6 +225,23 @@ def inducing_words(spec: PatternSpec) -> frozenset[str]:
 def default_cap(spec: PatternSpec) -> int:
     return 2 * width(spec) + 2
 
+
+def _checked_cap(spec: PatternSpec, cap: Optional[int]) -> int:
+    """The given search cap, or the default one when None.
+
+    The stability probes look at words of up to cap + 2 letters; with
+    fewer letters than the width they see no word and report a settled 0.
+    """
+    if cap is None:
+        return default_cap(spec)
+    least = max(0, width(spec) - 2)
+    if cap < least:
+        raise CharacteristicsError(
+            f"cap {cap} is below {least}, the least cap for {spec.name}"
+        )
+    return cap
+
+
 @lru_cache(maxsize=None)
 def language_words(spec: PatternSpec, cap: int) -> tuple[str, ...]:
     """Accepted words of length at most cap, canonically ordered."""
@@ -331,9 +348,7 @@ def _stabilize(measure: Callable[[int], int], cap: int) -> CharValue:
 
 def overlap(spec: PatternSpec, d: Domain, cap: Optional[int] = None) -> CharValue:
     """Maximum overlap over all pairs of language words, cap-stabilized."""
-    if cap is None:
-        cap = default_cap(spec)
-    return _overlap(spec, d.span, cap)
+    return _overlap(spec, d.span, _checked_cap(spec, cap))
 
 
 @lru_cache(maxsize=None)
@@ -454,9 +469,7 @@ def smallest_variation(
     0 when nothing overlaps; Undefined when pairs vary in both directions;
     otherwise cap-stabilized like the overlap.
     """
-    if cap is None:
-        cap = default_cap(spec)
-    return _smallest_variation(spec, d.span, cap)
+    return _smallest_variation(spec, d.span, _checked_cap(spec, cap))
 
 
 @lru_cache(maxsize=None)
@@ -509,8 +522,7 @@ def report(
     spec: PatternSpec, d: Domain, n: int, cap: Optional[int] = None
 ) -> CharacteristicsReport:
     """Compute every characteristic of one pattern in one go."""
-    if cap is None:
-        cap = default_cap(spec)
+    cap = _checked_cap(spec, cap)
     return CharacteristicsReport(
         spec=spec,
         domain=d,

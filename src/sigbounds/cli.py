@@ -56,21 +56,21 @@ _INPUT_ERRORS = (
     ValueError,
 )
 
-_GF_ALIASES = {
-    "nb": (Aggregator.SUM, Feature.ONE),
-    "max_width": (Aggregator.MAX, Feature.WIDTH),
-    "sum_width": (Aggregator.SUM, Feature.WIDTH),
-    "min_width": (Aggregator.MIN, Feature.WIDTH),
-}
+_GF_ALIASES = {"nb": (Aggregator.SUM, Feature.ONE)}
 
+
+def _gf_token(g: Aggregator, f: Feature) -> str:
+    """The alias of (g, f) if it has one, else ``<agg>_<feature>``."""
+    for token, gf in _GF_ALIASES.items():
+        if gf == (g, f):
+            return token
+    return f"{g.value}_{f.value}"
+
+
+# the supported combinations grouped by their token, in table order
 _VERIFY_GF = {
-    "nb": (
-        (Aggregator.SUM, Feature.ONE, Side.LOWER),
-        (Aggregator.SUM, Feature.ONE, Side.UPPER),
-    ),
-    "max_width": ((Aggregator.MAX, Feature.WIDTH, Side.UPPER),),
-    "sum_width": ((Aggregator.SUM, Feature.WIDTH, Side.UPPER),),
-    "min_width": ((Aggregator.MIN, Feature.WIDTH, Side.LOWER),),
+    token: tuple(c for c in GF_SUPPORTED if _gf_token(c[0], c[1]) == token)
+    for token in dict.fromkeys(_gf_token(g, f) for g, f, _ in GF_SUPPORTED)
 }
 
 
@@ -99,9 +99,9 @@ def _parse_gf(token: str) -> tuple[Aggregator, Feature]:
     if g_s in aggs and f_s in feats:
         return aggs[g_s], feats[f_s]
     raise ValueError(
-        f"unknown aggregator/feature token {token!r}; use nb, max_width, "
-        "sum_width, min_width or <agg>_<feature> with agg in max/min/sum "
-        "and feature in one/width/max/min/surf"
+        f"unknown aggregator/feature token {token!r}; use "
+        f"{', '.join(_VERIFY_GF)} or <agg>_<feature> with agg in "
+        f"{'/'.join(aggs)} and feature in {'/'.join(feats)}"
     )
 
 
@@ -277,6 +277,8 @@ def cmd_eval(gf: str, pattern: str, series: str, fmt: str) -> None:
     try:
         g, f = _parse_gf(gf)
         spec = _resolve(pattern)
+        if series == "-":
+            series = click.get_text_stream("stdin").read()
         t = TimeSeries.from_text(series)
         occs = maximal_occurrences(spec, signature(t))
         feats = [feature_of(spec, f, t, occ) for occ in occs]

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import bounds as bounds_mod
 from .bounds import BoundError, BoundResult, Side
-from .characteristics import CharValue, _stabilize, default_cap, shift
+from .characteristics import CharValue, _checked_cap, _stabilize, shift
 from .series import (
     Aggregator,
     DEFAULT_POLICY,
@@ -40,13 +40,7 @@ from .sigregex import ALPHABET, word_key
 
 DEFAULT_BUDGET = 5_000_000
 
-GF_SUPPORTED = (
-    (Aggregator.SUM, Feature.ONE, Side.LOWER),
-    (Aggregator.SUM, Feature.ONE, Side.UPPER),
-    (Aggregator.MAX, Feature.WIDTH, Side.UPPER),
-    (Aggregator.SUM, Feature.WIDTH, Side.UPPER),
-    (Aggregator.MIN, Feature.WIDTH, Side.LOWER),
-)
+GF_SUPPORTED = tuple(bounds_mod.RULES)
 
 
 class BudgetExceededError(Exception):
@@ -210,8 +204,7 @@ def brute_overlap(
     budget: int = DEFAULT_BUDGET,
 ) -> CharValue:
     """Overlap recomputed from the raw definition, cap-stabilized."""
-    if cap is None:
-        cap = default_cap(spec)
+    cap = _checked_cap(spec, cap)
     counter = [budget]
     return _stabilize(lambda c: _raw_max_overlap(spec, d, c, counter), cap)
 
@@ -271,8 +264,7 @@ def brute_variation(
     budget: int = DEFAULT_BUDGET,
 ) -> CharValue:
     """Smallest variation over every overlapping pair, cap-stabilized."""
-    if cap is None:
-        cap = default_cap(spec)
+    cap = _checked_cap(spec, cap)
     counter = [budget]
     try:
         return _stabilize(lambda c: _raw_variation(spec, d, c, counter), cap)

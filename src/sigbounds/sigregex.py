@@ -26,7 +26,6 @@ words agrees with the letter order ``< , = , >`` used throughout the package;
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -678,9 +677,3 @@ def dc_decompose(node: Regex) -> list[list[Regex]]:
             )
         out.append(parts)
     return out
-
-
-def enumerate_words(length: int) -> Iterator[str]:
-    """All words of the given exact length, in canonical letter order."""
-    for tup in itertools.product(ALPHABET, repeat=length):
-        yield "".join(tup)

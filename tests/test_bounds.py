@@ -141,17 +141,11 @@ class TestMinWidth:
 class TestDispatch:
     def test_supported_combinations_match_direct_calls(self):
         n, d = 6, Domain(0, 1)
-        cases = [
-            (Aggregator.SUM, Feature.ONE, Side.LOWER, bd.nb_lower),
-            (Aggregator.SUM, Feature.ONE, Side.UPPER, bd.nb_upper),
-            (Aggregator.MIN, Feature.WIDTH, Side.LOWER, bd.min_width_lower),
-        ]
-        for g, f, side, fn in cases:
-            assert bd.bound(g, f, side, PEAK, n, d) == fn(PEAK, n, d)
-        assert bd.bound(Aggregator.MAX, Feature.WIDTH, Side.UPPER,
-                        PEAK, n, d) == bd.max_width_upper(PEAK, n, d)
-        assert bd.bound(Aggregator.SUM, Feature.WIDTH, Side.UPPER,
-                        PEAK, n, d) == bd.sum_width_upper(PEAK, n, d)
+        assert len(bd.RULES) == 5
+        for (g, f, side), rule in bd.RULES.items():
+            res = bd.bound(g, f, side, PEAK, n, d)
+            assert res == rule(PEAK, n, d)
+            assert res.side is side
 
     def test_unsupported_combination_says_which(self):
         with pytest.raises(bd.NotSupportedError) as err:

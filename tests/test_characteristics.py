@@ -164,6 +164,17 @@ class TestOverlap:
         assert got == CharValue.cap_limited(3, 5)
         assert ch.overlap(BUMP, Domain(0, 2)) == CharValue.defined(3)
 
+    def test_cap_below_width_is_rejected(self):
+        # probes up to cap + 2 = 4 letters see no bump word and would read 0
+        for fn in (ch.overlap, ch.smallest_variation):
+            with pytest.raises(CharacteristicsError):
+                fn(BUMP, Domain(0, 4), cap=2)
+            with pytest.raises(CharacteristicsError):
+                fn(PEAK, Domain(0, 1), cap=-1)
+        with pytest.raises(CharacteristicsError):
+            ch.report(BUMP, Domain(0, 4), n=6, cap=2)
+        assert ch.overlap(BUMP, Domain(0, 4)) == CharValue.defined(3)
+
     def test_growing_overlap_is_flagged_unbounded(self):
         got = ch.overlap(MIXED, Domain(0, 3))
         assert got.kind is CharKind.UNBOUNDED

@@ -5,13 +5,21 @@ import os
 import subprocess
 import sys
 
+import sigbounds
+from sigbounds import cli
+from sigbounds.oracle import GF_SUPPORTED
+
 FIGURE = "4,4,0,0,2,4,4,7,4,0,0,2,2,2,2,2,2,0"
+# the subprocesses run the same package the tests import
+SRC = os.path.dirname(os.path.dirname(sigbounds.__file__))
 
 
 def run(*args: str, env: dict = None):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (SRC, full_env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "sigbounds", *args],
         capture_output=True, text=True, env=full_env, timeout=300,
@@ -73,6 +81,13 @@ class TestChars:
         assert "did you mean" in p.stderr
         assert "peak" in p.stderr
 
+    def test_cap_below_width_exits_two(self):
+        # probes up to 4 letters see no word of width 5 and read overlap 0
+        p = run("chars", "bump_on_decreasing_sequence", "--hi", "4",
+                "--cap", "2")
+        assert p.returncode == 2
+        assert "cap 2 is below 3" in p.stderr
+
 
 class TestBound:
     def test_human_output(self):
@@ -111,6 +126,24 @@ class TestBound:
         p = run("bound", "widest", "peak", "--side", "upper", "--n", "5")
         assert p.returncode == 2
         assert "unknown aggregator/feature token" in p.stderr
+
+    def test_negative_cap_exits_two(self):
+        # probes of a negative cap see no word and would claim a sharp 2
+        p = run("bound", "nb", "peak", "--side", "upper", "--n", "7",
+                "--cap", "-1")
+        assert p.returncode == 2
+        assert "cap -1 is below 0" in p.stderr
+        p = run("bound", "nb", "peak", "--side", "upper", "--n", "7")
+        assert p.returncode == 0
+        assert "value         : 3" in p.stdout
+
+    def test_gf_tokens_group_the_rule_table(self):
+        grouped = [c for combos in cli._VERIFY_GF.values() for c in combos]
+        assert grouped == list(GF_SUPPORTED)
+        assert sorted(cli._VERIFY_GF) == [
+            "max_width", "min_width", "nb", "sum_width"]
+        for token, combos in cli._VERIFY_GF.items():
+            assert {c[:2] for c in combos} == {cli._parse_gf(token)}
 
 
 class TestEval:

@@ -200,3 +200,6 @@ class TestSweep:
     def test_supported_combinations(self):
         assert len(orc.GF_SUPPORTED) == 5
         assert (Aggregator.MIN, Feature.WIDTH, Side.LOWER) in orc.GF_SUPPORTED
+
+    def test_supported_combinations_are_the_rule_table(self):
+        assert orc.GF_SUPPORTED == tuple(bd.RULES)

@@ -181,6 +181,14 @@ class TestLongSeries:
         assert res.exit_code == 0, res.output
         assert json.loads(res.output)["value"] == 100_000
 
+    def test_cli_eval_reads_series_from_stdin(self):
+        res = CliRunner().invoke(
+            main, ["eval", "sum_width", "steady_sequence", "--series", "-",
+                   "--format", "json"],
+            input=",".join(["0"] * 100_000) + "\n")
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["value"] == 100_000
+
 
 class TestEvaluate:
     def test_figure_min_width(self):

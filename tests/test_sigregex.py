@@ -97,10 +97,6 @@ class TestWordHelpers:
         ordered = sorted(words, key=sr.word_key)
         assert ordered == ["<", "=", ">", "<>", "><", "<><"]
 
-    def test_enumerate_words_counts(self):
-        for k in range(4):
-            assert len(list(sr.enumerate_words(k))) == 3 ** k
-
 
 class TestAutomaton:
     def test_accepts_agrees_with_words_up_to(self):
