@@ -192,6 +192,16 @@ def range_params(spec: PatternSpec) -> Optional[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
+def branch_specs(spec: PatternSpec) -> tuple[PatternSpec, ...]:
+    """One spec per top-level branch of the expression; the spec itself
+    when there is a single branch."""
+    if not isinstance(spec.ast, sigregex.Union):
+        return (spec,)
+    return tuple(PatternSpec(f"{spec.name}[{idx}]", sigregex.render(branch))
+                 for idx, branch in enumerate(spec.ast.parts))
+
+
+@lru_cache(maxsize=None)
 def inducing_words(spec: PatternSpec) -> frozenset[str]:
     """The shortest nonempty word of each top-level branch.
 
@@ -199,20 +209,14 @@ def inducing_words(spec: PatternSpec) -> frozenset[str]:
     shortest nonempty word; otherwise the corresponding error is raised.
     """
     sigregex.dc_decompose(spec.ast)
-    branches = (
-        list(spec.ast.parts)
-        if isinstance(spec.ast, sigregex.Union)
-        else [spec.ast]
-    )
     out = set()
-    for idx, branch in enumerate(branches):
-        aut = sigregex.compile(branch)
-        shortest = aut.shortest_nonempty_length()
+    for idx, branch in enumerate(branch_specs(spec)):
+        shortest = branch.aut.shortest_nonempty_length()
         if shortest is None:
             raise sigregex.EmptyLanguageError(
                 f"branch {idx} of {spec.name} has no nonempty word"
             )
-        words = [w for w in aut.words_up_to(shortest) if w]
+        words = [w for w in branch.aut.words_up_to(shortest) if w]
         if len(words) != 1:
             raise AmbiguousInducingWordError(idx, words)
         out.add(words[0])

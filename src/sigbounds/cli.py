@@ -341,12 +341,11 @@ def cmd_verify(names: tuple[str, ...], run_all: bool,
     """Certify bounds against exhaustive enumeration; exit 0 iff all pass."""
     try:
         if run_all:
-            entries = catalogue_mod.all_entries()
+            specs = [entry.spec for entry in catalogue_mod.all_entries()]
         elif names:
-            entries = tuple(catalogue_mod.lookup(name) for name in names)
+            specs = [_resolve(name) for name in names]
         else:
             raise ValueError("give pattern names or --all")
-        specs = [entry.spec for entry in entries]
         doms = tuple(Domain.parse(tok) for tok in domains.split(","))
         if max_n < 2:
             raise ValueError("--max-n must be at least 2")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import bounds as bounds_mod
 from .bounds import BoundError, BoundResult, Side
@@ -139,22 +139,19 @@ def brute_extrema(
 # --------------------------------------------------------------------------
 # Overlap and variation from raw definitions
 
-def _anchored_candidates(v: str, w: str, length: int):
-    """Words of the given length with prefix v and suffix w.
+def _anchored_candidates(v: str, w: str, length: int) -> Iterator[str]:
+    """Words of the given length, at least len(v) and len(w), with prefix v
+    and suffix w, in canonical order.
 
-    Anchors the longer word and enumerates the free letters, rejecting
-    candidates that miss the other anchor.
+    Lays v at the start and w at the end: where the two overlap their
+    letters must agree, and only the letters neither one fixes are free.
     """
-    if len(v) >= len(w):
-        for fill in product(ALPHABET, repeat=length - len(v)):
-            z = v + "".join(fill)
-            if z.endswith(w):
-                yield z
-    else:
-        for fill in product(ALPHABET, repeat=length - len(w)):
-            z = "".join(fill) + w
-            if z.startswith(v):
-                yield z
+    gap = length - len(v) - len(w)
+    if gap >= 0:
+        for fill in product(ALPHABET, repeat=gap):
+            yield v + "".join(fill) + w
+    elif v.endswith(w[:-gap]):
+        yield v + w[-gap:]
 
 
 def _raw_pair_overlap(

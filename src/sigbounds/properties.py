@@ -266,20 +266,36 @@ def nb_no_overlap(
 
 @lru_cache(maxsize=None)
 def is_fixed_length(spec: PatternSpec) -> bool:
-    """All nonempty language words share one length (checked to a cap)."""
-    w = chars.width(spec)
-    limit = max(2 * w, w + 3)
-    lengths = [
-        k for k in range(1, limit + 1) if spec.aut.exists_word_of_length(k)
-    ]
-    return len(lengths) == 1
+    """All nonempty language words share one length.
+
+    Exact on the trimmed automaton: bit k of ``paths[q]`` is set when a
+    path of k letters leads from an initial state to q.  After n_states
+    rounds of relaxation over the arcs a path of n_states letters exists
+    iff the automaton has a cycle, and with it unboundedly many lengths.
+    """
+    aut = spec.aut
+    n = aut.n_states
+    paths = [aut.initial >> q & 1 for q in range(n)]
+    for _ in range(n):
+        for pairs in aut.arcs.values():
+            for q, r in pairs:
+                paths[r] |= paths[q] << 1
+    lengths = 0
+    for q in range(n):
+        if paths[q] >> n:
+            return False
+        if aut.accepting >> q & 1:
+            lengths |= paths[q] & ~1
+    return lengths != 0 and lengths & (lengths - 1) == 0
 
 
 def width_max(spec: PatternSpec) -> PropertyCheck:
     """The widest-occurrence bound has its closed affine form.
 
     Needs a shortest word of minimal height and a range function matching
-    one of the three affine templates at the sample lengths.
+    one of the three affine templates at the sample lengths, the same one
+    for every top-level branch: a branch whose width grows with the span
+    next to a fixed branch that is wider at small spans breaks the form.
     """
     cands = minimal_words(spec)
     if not cands:
@@ -287,6 +303,10 @@ def width_max(spec: PatternSpec) -> PropertyCheck:
     ec = chars.range_params(spec)
     if ec is None:
         return _fail("width-max", "range-template")
+    if any(chars.range_params(branch) != ec
+           for branch in chars.branch_specs(spec)
+           if branch.aut.shortest_nonempty_length() is not None):
+        return _fail("width-max", "branch-range-template")
     return PropertyCheck(
         "width-max", True, {"v": cands[0], "e": ec[0], "c": ec[1]}
     )

@@ -8,8 +8,10 @@ feature is read off the covered values, and :func:`aggregate` combines the
 feature values.
 
 The maximal matches come from one backward pass over the signature that
-keeps, per automaton state, the furthest end of an accepted run, followed by
-a running maximum over the starts: linear in the signature length.
+keeps, per automaton state, the furthest end of an accepted run, updated
+through the automaton's arcs for each letter, followed by a running maximum
+over the starts: linear in the signature length, whatever the number of
+state sets a deterministic reading would visit.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
 from . import sigregex
-from .sigregex import ALPHABET, EQ, GT, LT, Automaton, Regex, check_word
+from .sigregex import EQ, GT, LT, Automaton, Regex, check_word, states_of
 
 # Extended integers: plain ints plus the two infinities (used for aggregator
 # defaults and open-ended bounds).
@@ -275,21 +276,6 @@ def supporting_series(word: str, d: Domain) -> list[TimeSeries]:
     return list(iter_supporting_series(word, d))
 
 
-@lru_cache(maxsize=None)
-def _scan_tables(spec: PatternSpec):
-    """Per-letter tables of ``spec.aut`` for the occurrence scan.
-
-    For each letter: the tuple of its arcs ``(q, r)`` and the tuple of the
-    states it leads to from an initial state.  Also the accepting states.
-    """
-    aut = spec.aut
-    arcs = {ch: tuple((q, r) for q, c, r in sorted(aut.transitions) if c == ch)
-            for ch in ALPHABET}
-    starts = {ch: tuple(sorted({r for q, r in arcs[ch] if q in aut.initial}))
-              for ch in ALPHABET}
-    return arcs, starts, tuple(sorted(aut.accepting))
-
-
 def maximal_occurrences(spec: PatternSpec, s: str) -> list[Occurrence]:
     """Matches not strictly contained in another match, sorted by position.
 
@@ -301,8 +287,10 @@ def maximal_occurrences(spec: PatternSpec, s: str) -> list[Occurrence]:
     running maximum decides.  Time O(|s| * arcs), space O(|s|).
     """
     check_word(s)
-    arcs, starts, accepting = _scan_tables(spec)
-    n_states = spec.aut.n_states
+    aut = spec.aut
+    arcs, n_states = aut.arcs, aut.n_states
+    initial = list(states_of(aut.initial))
+    accepting = list(states_of(aut.accepting))
     m = len(s)
     far = [-1] * n_states
     for q in accepting:
@@ -312,11 +300,6 @@ def maximal_occurrences(spec: PatternSpec, s: str) -> list[Occurrence]:
     i = m
     for ch in reversed(s):
         i -= 1
-        e = -1
-        for r in starts[ch]:
-            if far[r] > e:
-                e = far[r]
-        ends[i] = e
         nxt = [-1] * n_states
         for q in accepting:
             nxt[q] = i
@@ -324,6 +307,12 @@ def maximal_occurrences(spec: PatternSpec, s: str) -> list[Occurrence]:
             if far[r] > nxt[q]:
                 nxt[q] = far[r]
         far = nxt
+        # a run from an initial state ending at i itself matched nothing
+        e = -1
+        for q in initial:
+            if far[q] > e:
+                e = far[q]
+        ends[i] = e if e > i else -1
     out = []
     reach = -1
     for i, e in enumerate(ends, 1):

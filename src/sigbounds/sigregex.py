@@ -4,7 +4,10 @@ A word over this alphabet describes how consecutive values of an integer
 sequence compare, so a regular expression denotes a family of local shapes
 (peaks, terraces, zigzags and so on).  This module provides the expression
 syntax, a parser, and a compiler producing a small epsilon-free NFA that the
-rest of the package queries.
+rest of the package queries.  The NFA has one transition table, the arcs of
+each letter, and state sets are int bitmasks; reading a word runs the subset
+construction (Rabin & Scott, 1959) lazily, one remembered (state set,
+letter) successor at a time, so no query pays for subsets it never reaches.
 
 Concrete syntax::
 
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 ALPHABET = "<=>"
 LT, EQ, GT = "<", "=", ">"
@@ -342,68 +345,93 @@ def render(node: Regex) -> str:
 # --------------------------------------------------------------------------
 # Automata
 
-class Automaton:
-    """Epsilon-free NFA over the comparison alphabet.
+Arcs = dict[str, tuple[tuple[int, int], ...]]
 
-    States are integers.  The automaton is trimmed: every state lies on some
-    path from an initial to an accepting state, except for the canonical
-    empty automaton which keeps a single dead initial state.
+
+def states_of(mask: int) -> Iterator[int]:
+    """The members of a state set given as a bitmask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class Automaton:
+    """Epsilon-free NFA over the comparison alphabet, read as a lazy DFA.
+
+    States are the integers ``0 .. n_states - 1`` and a set of states is an
+    int bitmask, so ``initial`` and ``accepting`` are masks.  ``arcs[letter]``
+    is the tuple of arcs ``(q, r)`` reading that letter: the one transition
+    table.  :meth:`step` is the subset construction done lazily, each
+    (state set, letter) successor computed from ``arcs`` on first use and
+    remembered, so a large automaton costs what is read of it and never
+    ``2 ** n_states`` up front.
+
+    The automaton is trimmed: every state lies on some path from an initial
+    to an accepting state, except for the canonical empty automaton which
+    keeps a single dead initial state.
     """
 
-    __slots__ = ("n_states", "initial", "accepting", "transitions", "_step")
+    __slots__ = ("n_states", "initial", "accepting", "arcs", "_succ")
 
-    def __init__(
-        self,
-        n_states: int,
-        initial: frozenset[int],
-        accepting: frozenset[int],
-        transitions: frozenset[tuple[int, str, int]],
-    ):
+    def __init__(self, n_states: int, initial: int, accepting: int,
+                 arcs: Arcs):
         self.n_states = n_states
         self.initial = initial
         self.accepting = accepting
-        self.transitions = transitions
-        step: dict[tuple[int, str], set[int]] = {}
-        for q, ch, r in transitions:
-            step.setdefault((q, ch), set()).add(r)
-        self._step = {k: frozenset(v) for k, v in step.items()}
+        self.arcs = {ch: tuple(arcs.get(ch, ())) for ch in ALPHABET}
+        self._succ: dict[str, dict[int, int]] = {ch: {} for ch in ALPHABET}
 
     def __repr__(self) -> str:
-        return (
-            f"Automaton(states={self.n_states}, initial={sorted(self.initial)}, "
-            f"accepting={sorted(self.accepting)}, arcs={len(self.transitions)})"
-        )
+        return (f"Automaton(states={self.n_states}, initial={self.initial:#b}, "
+                f"accepting={self.accepting:#b}, "
+                f"arcs={sum(map(len, self.arcs.values()))})")
 
     @property
     def is_empty(self) -> bool:
         """True iff the language is empty (trimmed automata only)."""
         return not self.accepting
 
-    def step(self, states: frozenset[int], letter: str) -> frozenset[int]:
-        out: set[int] = set()
-        for q in states:
-            out |= self._step.get((q, letter), frozenset())
-        return frozenset(out)
+    def step(self, states: int, letter: str) -> int:
+        """The set of states reached from ``states`` by reading ``letter``.
+
+        The first step on a letter files the successors of every single
+        state in one pass over the letter's arcs; a larger set's successors
+        are the union of its members'.
+        """
+        memo = self._succ[letter]
+        out = memo.get(states)
+        if out is None:
+            if not memo:
+                for q, r in self.arcs[letter]:
+                    memo[1 << q] = memo.get(1 << q, 0) | 1 << r
+            out = 0
+            for q in states_of(states):
+                out |= memo.get(1 << q, 0)
+            memo[states] = out
+        return out
+
+    def _read(self, states: int, word: str) -> int:
+        for ch in word:
+            if not states:
+                break
+            states = self.step(states, ch)
+        return states
 
     def accepts(self, word: str) -> bool:
         check_word(word)
-        cur = self.initial
-        for ch in word:
-            cur = self.step(cur, ch)
-            if not cur:
-                return False
-        return bool(cur & self.accepting)
+        return bool(self._read(self.initial, word) & self.accepting)
 
     def words_up_to(self, max_len: int) -> list[str]:
         """All accepted words of length at most ``max_len``, in canonical
         order (length first, then letters in the order ``<``, ``=``, ``>``).
         """
         out: list[str] = []
-        frontier: list[tuple[str, frozenset[int]]] = [("", self.initial)]
+        frontier: list[tuple[str, int]] = [("", self.initial)]
         if self.initial & self.accepting:
             out.append("")
         for _ in range(max_len):
-            nxt: list[tuple[str, frozenset[int]]] = []
+            nxt: list[tuple[str, int]] = []
             for word, states in frontier:
                 for ch in ALPHABET:
                     ns = self.step(states, ch)
@@ -428,12 +456,12 @@ class Automaton:
         check_word(word)
         if self.is_empty:
             return False
-        cur = frozenset(range(self.n_states))
-        for ch in word:
-            cur = self.step(cur, ch)
-            if not cur:
-                return False
-        return True
+        return bool(self._read((1 << self.n_states) - 1, word))
+
+    def _successors(self, states: int) -> int:
+        """The states reached from ``states`` by reading any one letter."""
+        return (self.step(states, LT) | self.step(states, EQ)
+                | self.step(states, GT))
 
     def exists_word_of_length(self, k: int) -> bool:
         """Does the language contain a word of length exactly ``k``?"""
@@ -441,11 +469,7 @@ class Automaton:
             return False
         cur = self.initial
         for _ in range(k):
-            nxt: set[int] = set()
-            for q in cur:
-                for ch in ALPHABET:
-                    nxt |= self._step.get((q, ch), frozenset())
-            cur = frozenset(nxt)
+            cur = self._successors(cur)
             if not cur:
                 return False
         return bool(cur & self.accepting)
@@ -455,103 +479,71 @@ class Automaton:
 
         A breadth-first search over states; each arc consumes one letter.
         """
-        seen = set(self.initial)
-        frontier = set(self.initial)
+        seen = frontier = self.initial
         dist = 0
         while frontier:
             dist += 1
-            nxt: set[int] = set()
-            for q in frontier:
-                for ch in ALPHABET:
-                    nxt |= self._step.get((q, ch), frozenset())
+            nxt = self._successors(frontier)
             if nxt & self.accepting:
                 return dist
-            nxt -= seen
-            if not nxt:
-                return None
-            seen |= nxt
-            frontier = nxt
+            frontier = nxt & ~seen
+            seen |= frontier
+        return None
 
     def intersect(self, other: "Automaton") -> "Automaton":
-        """Product automaton for the intersection of the two languages."""
-        index: dict[tuple[int, int], int] = {}
-        pairs: list[tuple[int, int]] = []
+        """Product automaton for the intersection of the two languages.
 
-        def get(p: tuple[int, int]) -> int:
-            if p not in index:
-                index[p] = len(pairs)
-                pairs.append(p)
-            return index[p]
-
-        initial = set()
-        for a in sorted(self.initial):
-            for b in sorted(other.initial):
-                initial.add(get((a, b)))
-        arcs: set[tuple[int, str, int]] = set()
-        work = list(range(len(pairs)))
-        while work:
-            i = work.pop()
-            a, b = pairs[i]
-            for ch in ALPHABET:
-                for ra in self._step.get((a, ch), frozenset()):
-                    for rb in other._step.get((b, ch), frozenset()):
-                        before = len(pairs)
-                        j = get((ra, rb))
-                        if j >= before:
-                            work.append(j)
-                        arcs.add((i, ch, j))
-        accepting = {
-            i
-            for i, (a, b) in enumerate(pairs)
-            if a in self.accepting and b in other.accepting
+        The pair ``(a, b)`` is state ``a * other.n_states + b``; pairing the
+        arcs of each letter builds the whole product, and trimming keeps the
+        pairs that matter.
+        """
+        width = other.n_states
+        arcs = {
+            ch: tuple((a * width + b, ra * width + rb)
+                      for a, ra in self.arcs[ch]
+                      for b, rb in other.arcs[ch])
+            for ch in ALPHABET
         }
-        return _trim(len(pairs), frozenset(initial), frozenset(accepting),
-                     frozenset(arcs))
+        return _trim(
+            self.n_states * width,
+            sum(other.initial << a * width for a in states_of(self.initial)),
+            sum(other.accepting << a * width for a in states_of(self.accepting)),
+            arcs)
 
 
-def _trim(
-    n_states: int,
-    initial: frozenset[int],
-    accepting: frozenset[int],
-    transitions: frozenset[tuple[int, str, int]],
-) -> Automaton:
+def _trim(n_states: int, initial: int, accepting: int, arcs: Arcs) -> Automaton:
     """Keep states that are reachable and co-reachable; renumber densely.
 
     If nothing accepts, return the canonical one-state empty automaton.
     """
-    fwd: dict[int, set[int]] = {}
-    back: dict[int, set[int]] = {}
-    for q, _, r in transitions:
-        fwd.setdefault(q, set()).add(r)
-        back.setdefault(r, set()).add(q)
+    fwd: dict[int, list[int]] = {}
+    back: dict[int, list[int]] = {}
+    for pairs in arcs.values():
+        for q, r in pairs:
+            fwd.setdefault(q, []).append(r)
+            back.setdefault(r, []).append(q)
 
-    def closure(seeds: frozenset[int], adj: dict[int, set[int]]) -> set[int]:
-        seen = set(seeds)
-        work = list(seeds)
+    def closure(seeds: int, adj: dict[int, list[int]]) -> int:
+        seen = seeds
+        work = list(states_of(seeds))
         while work:
-            q = work.pop()
-            for r in adj.get(q, ()):
-                if r not in seen:
-                    seen.add(r)
+            for r in adj.get(work.pop(), ()):
+                if not seen >> r & 1:
+                    seen |= 1 << r
                     work.append(r)
         return seen
 
-    reach = closure(initial, fwd)
-    coreach = closure(accepting, back)
-    alive = sorted(reach & coreach)
+    alive = list(states_of(closure(initial, fwd) & closure(accepting, back)))
     if not alive:
-        return Automaton(1, frozenset({0}), frozenset(), frozenset())
+        return Automaton(1, 1, 0, {})
     renum = {q: i for i, q in enumerate(alive)}
-    keep = frozenset(
-        (renum[q], ch, renum[r])
-        for q, ch, r in transitions
-        if q in renum and r in renum
-    )
     return Automaton(
         len(alive),
-        frozenset(renum[q] for q in initial if q in renum),
-        frozenset(renum[q] for q in accepting if q in renum),
-        keep,
+        sum(1 << i for i, q in enumerate(alive) if initial >> q & 1),
+        sum(1 << i for i, q in enumerate(alive) if accepting >> q & 1),
+        {ch: tuple(sorted((renum[q], renum[r]) for q, r in pairs
+                          if q in renum and r in renum))
+         for ch, pairs in arcs.items()},
     )
 
 
@@ -604,16 +596,11 @@ def compile(node: Regex) -> Automaton:  # noqa: A001 - mirrors re.compile
         raise TypeError(f"unknown node {n!r}")
 
     nul, first, last, follow = walk(node)
-    arcs: set[tuple[int, str, int]] = set()
-    for p in first:
-        arcs.add((0, positions[p - 1], p))
-    for q, r in follow:
-        arcs.add((q, positions[r - 1], r))
-    accepting = set(last)
-    if nul:
-        accepting.add(0)
-    return _trim(len(positions) + 1, frozenset({0}), frozenset(accepting),
-                 frozenset(arcs))
+    arcs: dict[str, list[tuple[int, int]]] = {ch: [] for ch in ALPHABET}
+    for q, r in [(0, p) for p in first] + list(follow):
+        arcs[positions[r - 1]].append((q, r))
+    accepting = sum(1 << p for p in last) | int(nul)
+    return _trim(len(positions) + 1, 1, accepting, arcs)
 
 
 @lru_cache(maxsize=None)
@@ -626,16 +613,14 @@ def bounded_height_automaton(h: int) -> Automaton:
     """
     if h < 0:
         raise ValueError("height bound must be nonnegative")
-    arcs: set[tuple[int, str, int]] = set()
-    for a in range(h + 1):
-        arcs.add((a, EQ, a))
-        for b in range(h + 1):
-            if b > a:
-                arcs.add((a, LT, b))
-            elif b < a:
-                arcs.add((a, GT, b))
-    states = frozenset(range(h + 1))
-    return Automaton(h + 1, states, states, frozenset(arcs))
+    levels = range(h + 1)
+    arcs = {
+        LT: tuple((a, b) for a in levels for b in levels if b > a),
+        EQ: tuple((a, a) for a in levels),
+        GT: tuple((a, b) for a in levels for b in levels if b < a),
+    }
+    states = (1 << (h + 1)) - 1
+    return Automaton(h + 1, states, states, arcs)
 
 
 def words_of_height_at_most(h: int, length: int) -> Iterator[str]:
@@ -643,7 +628,7 @@ def words_of_height_at_most(h: int, length: int) -> Iterator[str]:
     in canonical letter order."""
     aut = bounded_height_automaton(h)
 
-    def rec(prefix: str, states: frozenset[int]) -> Iterator[str]:
+    def rec(prefix: str, states: int) -> Iterator[str]:
         if len(prefix) == length:
             yield prefix
             return

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import product
+
 from sigbounds.series import Occurrence, PatternSpec
 from sigbounds.sigregex import (
+    ALPHABET,
     Automaton,
     Concat,
     Empty,
@@ -137,3 +141,74 @@ def naive_maximal_occurrences(spec: PatternSpec, s: str) -> list[Occurrence]:
             out.append(Occurrence(i, j))
     out.sort()
     return out
+
+
+def naive_factors(node: Regex, k: int) -> set[str]:
+    """Factors of at most k letters of the language's words.
+
+    Structural recursion, independent of any automaton.  Each node yields
+    its words, prefixes, suffixes and factors of at most k letters, or
+    None for the empty language.  A factor of a concatenation lies in one
+    part or is a suffix of the first part followed by a prefix of the
+    second; a factor of a word of ``r*`` touches at most k + 2 nonempty
+    iterations of ``r``.
+    """
+
+    def cut(words):
+        return {w for w in words if len(w) <= k}
+
+    def cat(a, b):
+        if a is None or b is None:
+            return None
+        (la, pa, sa, fa), (lb, pb, sb, fb) = a, b
+        return (cut(x + y for x in la for y in lb),
+                pa | cut(x + p for x in la for p in pb),
+                sb | cut(s + y for s in sa for y in lb),
+                fa | fb | cut(s + p for s in sa for p in pb))
+
+    def alt(a, b):
+        if a is None or b is None:
+            return a if b is None else b
+        return tuple(x | y for x, y in zip(a, b))
+
+    def go(n: Regex):
+        if isinstance(n, Empty):
+            return None
+        if isinstance(n, Epsilon):
+            return ({""}, {""}, {""}, {""})
+        if isinstance(n, Lit):
+            return ({n.letter}, {"", n.letter}, {"", n.letter},
+                    {"", n.letter})
+        if isinstance(n, Concat):
+            return reduce(cat, map(go, n.parts))
+        if isinstance(n, Union):
+            return reduce(alt, map(go, n.parts))
+        if isinstance(n, Star):
+            inner = go(n.inner)
+            out = power = go(Epsilon())
+            for _ in range(k + 2):
+                power = cat(power, inner)
+                out = alt(out, power)
+            return out
+        raise TypeError(f"unknown node {n!r}")
+
+    got = go(node)
+    return set() if got is None else got[3]
+
+
+def naive_anchored_candidates(v: str, w: str, length: int):
+    """Words of the given length with prefix v and suffix w.
+
+    Anchors the longer word and enumerates the free letters, rejecting
+    candidates that miss the other anchor.
+    """
+    if len(v) >= len(w):
+        for fill in product(ALPHABET, repeat=length - len(v)):
+            z = v + "".join(fill)
+            if z.endswith(w):
+                yield z
+    else:
+        for fill in product(ALPHABET, repeat=length - len(w)):
+            z = "".join(fill) + w
+            if z.startswith(v):
+                yield z

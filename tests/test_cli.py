@@ -182,6 +182,11 @@ class TestVerify:
         assert "failed 0" in p.stdout
         assert p.stdout.rstrip().endswith("PASS")
 
+    def test_raw_expression(self):
+        p = run("verify", "<*>>|<")
+        assert p.returncode == 0
+        assert "failed 0" in p.stdout
+
     def test_requires_names_or_all(self):
         p = run("verify")
         assert p.returncode == 2

@@ -1,10 +1,12 @@
 """Exhaustive oracle: exact extrema, raw-definition characteristics, and
 the sweep that certifies every closed-form bound against enumeration."""
 
+import itertools
 import math
 
 import pytest
 
+from helpers import naive_anchored_candidates
 from sigbounds import bounds as bd
 from sigbounds import catalogue as cat
 from sigbounds import oracle as orc
@@ -105,12 +107,31 @@ class TestRawCharacteristics:
         assert orc.brute_variation(PEAK, Domain(0, 1), cap=4) \
             == CharValue.defined(0)
 
+    def test_anchored_candidates_match_generate_and_test(self):
+        words = ["".join(t) for k in range(5)
+                 for t in itertools.product("<=>", repeat=k)]
+        for v, w in itertools.product(words, words):
+            for length in range(max(len(v), len(w)), len(v) + len(w) + 2):
+                assert list(orc._anchored_candidates(v, w, length)) == list(
+                    naive_anchored_candidates(v, w, length)), (v, w, length)
+
     def test_budget_applies_to_gluing_search(self):
         with pytest.raises(orc.BudgetExceededError):
             orc.brute_overlap(PEAK, Domain(0, 1), budget=5)
 
 
+# two-branch raw regexes mixing a branch whose width grows with the span
+# and a fixed branch that is wider at small spans
+MIXED_BRANCHES = ("<*<<|=<", "<*>>|<", "<<*<|<=", "<?<|<<>*", "<|>*<<",
+                  "=>|<<<*", ">=|>>>*", ">>*>|><")
+
+
 class TestSweep:
+    def test_mixed_branch_raw_regexes_pass_the_default_grid(self):
+        specs = [PatternSpec(e, e) for e in MIXED_BRANCHES]
+        rep = orc.sharpness_report(specs)
+        assert rep.failures == []
+
     def test_clean_cell_confirms_all_bounds(self):
         rep = orc.sharpness_report([PEAK], n_range=[4],
                                    domains=[Domain(0, 1)])

@@ -139,6 +139,14 @@ class TestWidthProperties:
         assert not pr.is_fixed_length(PEAK)
         assert not pr.is_fixed_length(DEC_SEQ)
 
+    def test_fixed_length_sees_long_branches(self):
+        # the second branch is longer than any sampled length of the first
+        assert not pr.is_fixed_length(PatternSpec("r", "<|<<<<<"))
+        assert pr.is_fixed_length(PatternSpec("r", "<<|=>|><"))
+        assert not pr.is_fixed_length(PatternSpec("r", "<|=*"))
+        got = pr.width_occurrence(PatternSpec("r", "<|<<<<<"), Domain(0, 1))
+        assert got.witness == {"v": "<", "w": "<="}
+
     def test_width_max_witness(self):
         got = pr.width_max(PEAK)
         assert got.holds
@@ -148,6 +156,14 @@ class TestWidthProperties:
         got = pr.width_max(PatternSpec("dec", ">"))
         assert not got.holds
         assert got.failed_condition == "range-template"
+
+    def test_width_max_needs_one_template_for_every_branch(self):
+        # the whole language fits (1, 0); its fixed branch => fits none
+        got = pr.width_max(PatternSpec("r", "=>|<<<*"))
+        assert not got.holds
+        assert got.failed_condition == "branch-range-template"
+        for name in ("inflexion", "zigzag"):
+            assert pr.width_max(cat.lookup(name).spec).holds
 
     def test_width_sum_requires_trimmed_overlap(self):
         got = pr.width_sum(PEAK, Domain(0, 1))

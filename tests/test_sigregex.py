@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_matches
+from helpers import naive_factors, naive_matches, naive_maximal_occurrences
 from sigbounds import sigregex as sr
-from sigbounds.series import word_height
+from sigbounds.series import PatternSpec, maximal_occurrences, word_height
 
 
 def lang(expr: str, max_len: int) -> set[str]:
@@ -204,8 +205,30 @@ class TestAgainstNaiveMatcher:
     @given(_ast_strategy())
     def test_compiled_automaton_matches_recursive_semantics(self, node):
         aut = sr.compile(node)
+        members = [w for w in SHORT_WORDS if naive_matches(node, w)]
         for w in SHORT_WORDS:
-            assert aut.accepts(w) == naive_matches(node, w), (node, w)
+            assert aut.accepts(w) == (w in members), (node, w)
+        assert aut.words_up_to(3) == sorted(members, key=sr.word_key)
+        for k in range(4):
+            assert aut.exists_word_of_length(k) == any(
+                len(w) == k for w in members), (node, k)
+        nonempty = [len(w) for w in members if w]
+        shortest = aut.shortest_nonempty_length()
+        if nonempty:
+            assert shortest == min(nonempty), node
+        else:
+            assert shortest is None or shortest > 3, node
+        factors = naive_factors(node, 3)
+        for w in SHORT_WORDS:
+            assert aut.is_factor(w) == (w in factors), (node, w)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_ast_strategy(), _ast_strategy())
+    def test_intersect_is_language_intersection(self, left, right):
+        both = sr.compile(left).intersect(sr.compile(right))
+        for w in SHORT_WORDS:
+            want = naive_matches(left, w) and naive_matches(right, w)
+            assert both.accepts(w) == want, (left, right, w)
 
     @settings(max_examples=80, deadline=None)
     @given(_ast_strategy())
@@ -215,3 +238,28 @@ class TestAgainstNaiveMatcher:
         a2 = sr.compile(again)
         for w in SHORT_WORDS:
             assert a1.accepts(w) == a2.accepts(w)
+
+
+class TestLazySubsets:
+    """The subset construction is built only as far as it is read.
+
+    An eager one would need more than 2 ** 20 subsets for this regex: a
+    word's state set records which of its last 21 letters are ``<``.
+    """
+
+    EXPR = "(<|=|>)*<" + "(<|=|>)" * 20
+
+    def test_accepts_agrees_with_recursive_semantics(self):
+        node = sr.parse(self.EXPR)
+        aut = sr.compile(node)
+        rng = random.Random(7)
+        for _ in range(40):
+            w = "".join(rng.choice("<=>") for _ in range(rng.randint(18, 30)))
+            assert aut.accepts(w) == naive_matches(node, w), w
+
+    def test_scan_agrees_with_definition(self):
+        spec = PatternSpec("far_lt", self.EXPR)
+        rng = random.Random(11)
+        s = "".join(rng.choice("<=>") for _ in range(300))
+        got = maximal_occurrences(spec, s)
+        assert got and got == naive_maximal_occurrences(spec, s)
