@@ -310,7 +310,9 @@ def _max_overlap(spec: PatternSpec, span: int, cap: int) -> int:
     words = [u for u in language_words(spec, cap) if u]
     if not words:
         return 0
-    accepts = spec.aut.accepts
+    aut = spec.aut
+    # a gluing v + w[k:] resumes from the states reached after v
+    after = {u: aut._read(aut.initial, u) for u in words}
     longest = max(len(u) for u in words)
     for k in range(min(cap, longest), 0, -1):
         by_suffix: dict[str, list[str]] = {}
@@ -322,14 +324,13 @@ def _max_overlap(spec: PatternSpec, span: int, cap: int) -> int:
         for seam in sorted(set(by_suffix) & set(by_prefix)):
             for v in by_suffix[seam]:
                 for w in by_prefix[seam]:
-                    z = v + w[k:]
-                    if accepts(z):
+                    if aut._read(after[v], w[k:]) & aut.accepting:
                         continue
-                    if word_height(z) <= span:
+                    if word_height(v + w[k:]) <= span:
                         return k + 1
     for v, w in product(words, words):
-        z = v + w
-        if not accepts(z) and word_height(z) <= span:
+        if (not aut._read(after[v], w) & aut.accepting
+                and word_height(v + w) <= span):
             return 1
     return 0
 

@@ -6,12 +6,17 @@ by scanning every candidate gluing word letter by letter, variation by
 walking every overlapping pair.  The bounded searches in the main modules
 must agree with these; the sharpness report certifies the bound formulas
 against them.
+
+:func:`brute_extrema` walks every series.  The features of ``bounds.RULES``
+depend only on where the maximal occurrences lie, so the sweep walks the
+signatures of height at most the span instead, each counting for the series
+it supports, the least of them its witness.  Budgets still count series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import bounds as bounds_mod
@@ -25,7 +30,6 @@ from .series import (
     ExtendedInt,
     Feature,
     MINUS_INF,
-    Occurrence,
     PLUS_INF,
     PatternSpec,
     TimeSeries,
@@ -36,7 +40,7 @@ from .series import (
     signature,
     word_height,
 )
-from .sigregex import ALPHABET, word_key
+from .sigregex import ALPHABET, GT, LT, word_key, words_of_height_at_most
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -87,6 +91,21 @@ class ExtremaResult:
         if has_occ:
             self.min_occ = min(self.min_occ, val)
             self.max_occ = max(self.max_occ, val)
+
+    def add_signature(self, t: TimeSeries, val: ExtendedInt, has_occ: bool,
+                      count: int) -> None:
+        """Fold in the ``count`` series of one signature, all of value
+        ``val`` and the least of them ``t``, as :meth:`update` does in
+        lexicographic order: a tie keeps the smaller witness, and an
+        extreme still at its infinite start keeps none."""
+        if (val == self.min_all and self.witness_min is not None
+                and t.values < self.witness_min.values):
+            self.witness_min = t
+        if (val == self.max_all and self.witness_max is not None
+                and t.values < self.witness_max.values):
+            self.witness_max = t
+        self.update(t, val, has_occ)  # counts t alone
+        self.count += count - 1
 
     def to_json(self):
         from .series import ext_to_json
@@ -361,6 +380,39 @@ class SweepReport:
         }
 
 
+def _support_count(word: str, d: Domain) -> int:
+    """Number of series over ``d`` with the given signature: ``ways[v]``
+    counts the prefixes ending at ``d.lo + v``, and ``<`` (``>``) sums it
+    over the smaller (larger) values."""
+    ways = [1] * (d.span + 1)
+    for ch in word:
+        if ch == LT:
+            ways = [0, *accumulate(ways[:-1])]
+        elif ch == GT:
+            ways = [0, *accumulate(ways[:0:-1])][::-1]
+    return sum(ways)
+
+
+def _least_support(word: str, d: Domain) -> Optional[TimeSeries]:
+    """The lexicographically smallest series over ``d`` with the given
+    signature, or None when there is none.
+
+    Each value is the least that its letter and ``floor`` allow, where
+    ``floor[k]`` is the least value at position k from which the rest of
+    the word fits above ``d.lo``.  The result lies pointwise below every
+    series with the signature, so it fits under ``d.hi`` iff one does.
+    """
+    floor = [d.lo]
+    for ch in reversed(word):
+        floor.append(d.lo if ch == LT else floor[-1] + (ch == GT))
+    floor.reverse()
+    vals = [floor[0]]
+    for ch, low in zip(word, floor[1:]):
+        vals.append(max(vals[-1] + 1, low) if ch == LT
+                    else low if ch == GT else vals[-1])
+    return TimeSeries(tuple(vals)) if max(vals) <= d.hi else None
+
+
 def _cell_extrema(
     spec: PatternSpec,
     n: int,
@@ -368,21 +420,25 @@ def _cell_extrema(
     gfs: Iterable[tuple[Aggregator, Feature]],
     policy: DefaultPolicy,
 ) -> dict[tuple[Aggregator, Feature], ExtremaResult]:
-    """One enumeration pass serving several aggregator/feature pairs."""
+    """What :func:`brute_extrema` gives for several aggregator/feature
+    pairs, from one pass over the signatures of height at most the span.
+    The features must be positional, so one value serves every series
+    that supports a signature."""
     trackers = {gf: ExtremaResult(n, d) for gf in set(gfs)}
-    # occurrences depend only on the signature, and many series share one
-    occs_by_sig: dict[str, list[Occurrence]] = {}
-    for t in enumerate_series(n, d):
-        sig = signature(t)
-        occs = occs_by_sig.get(sig)
-        if occs is None:
-            occs = occs_by_sig[sig] = maximal_occurrences(spec, sig)
+    for _, f in trackers:
+        if f not in (Feature.ONE, Feature.WIDTH):
+            raise ValueError(f"feature {f.value!r} reads series values")
+    for word in words_of_height_at_most(d.span, n - 1):
+        occs = maximal_occurrences(spec, word)
+        count = _support_count(word, d)
+        least = _least_support(word, d)
         feats: dict[Feature, list[int]] = {}
         for (g, f), tracker in trackers.items():
             vals = feats.get(f)
             if vals is None:
-                vals = feats[f] = [feature_of(spec, f, t, o) for o in occs]
-            tracker.update(t, aggregate(g, vals, policy), bool(occs))
+                vals = feats[f] = [feature_of(spec, f, least, o) for o in occs]
+            tracker.add_signature(least, aggregate(g, vals, policy),
+                                  bool(occs), count)
     return trackers
 
 

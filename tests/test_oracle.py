@@ -17,10 +17,13 @@ from sigbounds.series import (
     DEFAULT_POLICY,
     Domain,
     Feature,
+    NEUTRAL_POLICY,
     PatternSpec,
     TimeSeries,
     evaluate,
+    iter_supporting_series,
     signature,
+    supporting_series,
 )
 
 PEAK = PatternSpec("peak", "<(<|=)*(>|=)*>", a=1, b=1)
@@ -77,14 +80,50 @@ class TestCellExtrema:
     def test_signature_memo_matches_brute_force(self, name):
         spec = cat.lookup(name).spec
         gfs = [(g, f) for g, f, _ in orc.GF_SUPPORTED]
-        for d in (Domain(0, 1), Domain(0, 2)):
-            for n in range(2, 7):
-                cells = orc._cell_extrema(spec, n, d, gfs, DEFAULT_POLICY)
+        grid = [(d, n) for d in (Domain(0, 1), Domain(0, 2))
+                for n in range(2, 7)]
+        grid += [(Domain(0, 3), n) for n in range(2, 6)]
+        # the neutral policy leaves max at -inf without occurrences, so
+        # extremes that stay infinite keep no witness
+        for policy in (DEFAULT_POLICY, NEUTRAL_POLICY):
+            for d, n in grid:
+                cells = orc._cell_extrema(spec, n, d, gfs, policy)
                 for g, f in gfs:
                     got = cells[(g, f)]
-                    ref = orc.brute_extrema(spec, f, g, n, d)
+                    ref = orc.brute_extrema(spec, f, g, n, d, policy=policy)
                     assert _extrema_fields(got) == _extrema_fields(ref), \
-                        (name, g, f, n, d)
+                        (name, g, f, n, d, policy)
+
+    def test_value_dependent_feature_is_refused(self):
+        with pytest.raises(ValueError, match="surf"):
+            orc._cell_extrema(PEAK, 4, Domain(0, 1),
+                              [(Aggregator.SUM, Feature.SURF)],
+                              DEFAULT_POLICY)
+
+        def surf_bound(g, f, side, spec, n, d, cap=None):
+            return BoundResult(0, side, False, "test")
+
+        with pytest.raises(ValueError, match="surf"):
+            orc.sharpness_report(
+                [PEAK], [(Aggregator.SUM, Feature.SURF, Side.UPPER)],
+                n_range=[4], domains=[Domain(0, 1)], bound_fn=surf_bound)
+
+
+class TestSignatureSupport:
+    WORDS = ["".join(t) for k in range(7)
+             for t in itertools.product("<=>", repeat=k)]
+
+    def test_count_matches_enumeration(self):
+        for d in (Domain(0, 0), Domain(0, 1), Domain(0, 2), Domain(0, 3)):
+            for w in self.WORDS:
+                assert orc._support_count(w, d) == \
+                    len(supporting_series(w, d)), (w, d)
+
+    def test_least_series_matches_enumeration(self):
+        for d in (Domain(0, 0), Domain(0, 1), Domain(0, 2), Domain(0, 3)):
+            for w in self.WORDS:
+                assert orc._least_support(w, d) == \
+                    next(iter_supporting_series(w, d), None), (w, d)
 
 
 def _extrema_fields(ex):
@@ -199,6 +238,19 @@ class TestSweep:
         for row in rep.failures:
             assert row.valid is True
             assert row.attained is False
+
+    @pytest.mark.parametrize("name", ["decreasing_terrace",
+                                      "increasing_terrace", "peak"])
+    def test_deeper_grid_where_the_interval_cap_binds(self, name):
+        # over 0:3 the terraces' interval cap is 6, so it binds at every n
+        # here and the restart term steps their count bound at n = 10
+        rep = orc.sharpness_report([cat.lookup(name).spec],
+                                   n_range=range(8, 11),
+                                   domains=[Domain(0, 3)])
+        summary = rep.summary()
+        assert summary["failed"] == 0
+        assert summary["sharp_confirmed"] == sum(
+            1 for r in rep.rows if r.skip is None and r.sharp_claimed)
 
     def test_budget_rejects_before_enumerating(self):
         with pytest.raises(orc.BudgetExceededError):
