@@ -27,11 +27,11 @@ from . import sigregex
 from .series import (
     Domain,
     PatternSpec,
-    iter_supporting_series,
+    _least_support,
     maximal_occurrences,
     word_height,
 )
-from .sigregex import ALPHABET, EQ, GT, LT, bounded_height_automaton, check_word
+from .sigregex import GT, LT, bounded_height_automaton, check_word
 
 
 class CharacteristicsError(Exception):
@@ -300,10 +300,11 @@ def overlap_of_words(spec: PatternSpec, v: str, w: str, d: Domain) -> int:
 def _max_overlap(spec: PatternSpec, span: int, cap: int) -> int:
     """Maximum of overlap_of_words over all word pairs up to the cap.
 
-    Searches seam lengths from long to short: overlap k + 1 needs some
-    v ending with the k-letter block some w starts with, such that the
-    overlay leaves the language and stays supportable.  The first seam
-    length that admits a witness gives the maximum.
+    Searches seam lengths from long to short, down to the empty seam of
+    plain concatenation: overlap k + 1 needs some v ending with the
+    k-letter block some w starts with, such that the overlay leaves the
+    language and stays supportable.  The first seam length that admits a
+    witness gives the maximum.
     """
     if span < height(spec):
         return 0
@@ -314,12 +315,12 @@ def _max_overlap(spec: PatternSpec, span: int, cap: int) -> int:
     # a gluing v + w[k:] resumes from the states reached after v
     after = {u: aut._read(aut.initial, u) for u in words}
     longest = max(len(u) for u in words)
-    for k in range(min(cap, longest), 0, -1):
+    for k in range(min(cap, longest), -1, -1):
         by_suffix: dict[str, list[str]] = {}
         by_prefix: dict[str, list[str]] = {}
         for u in words:
             if len(u) >= k:
-                by_suffix.setdefault(u[-k:], []).append(u)
+                by_suffix.setdefault(u[len(u) - k:], []).append(u)
                 by_prefix.setdefault(u[:k], []).append(u)
         for seam in sorted(set(by_suffix) & set(by_prefix)):
             for v in by_suffix[seam]:
@@ -328,10 +329,6 @@ def _max_overlap(spec: PatternSpec, span: int, cap: int) -> int:
                         continue
                     if word_height(v + w[k:]) <= span:
                         return k + 1
-    for v, w in product(words, words):
-        if (not aut._read(after[v], w) & aut.accepting
-                and word_height(v + w) <= span):
-            return 1
     return 0
 
 
@@ -364,14 +361,25 @@ def _overlap(spec: PatternSpec, span: int, cap: int) -> CharValue:
 # --------------------------------------------------------------------------
 # Shifts and variation
 
+_MIRROR = str.maketrans(LT + GT, GT + LT)
+
+
 def shift(spec: PatternSpec, z: str, w: str, i: int) -> Optional[int]:
     """Gap between the series maximum and the top of the i-th w-occurrence.
 
-    Over all series supporting z within the canonical domain
-    [0, word_height(z)], take the least difference between the global
+    Over all series supporting z within the canonical domain [0, h],
+    h = word_height(z), take the least difference between the global
     maximum and the maximum inside the extended span of the i-th maximal
     occurrence whose matched factor equals w.  None when w is not a proper
     factor realised by at least i maximal occurrences.
+
+    No series is enumerated: (1) a series with signature z spans at least
+    h levels, so inside [0, h] its maximum is exactly h; (2) the pointwise
+    maximum of two such series has signature z too, so a greatest one
+    exists and reaches the highest top in every window; (3) t supports z
+    iff h - t supports z with ``<`` and ``>`` swapped, so the greatest
+    series is h minus the least one of the mirrored word.  The least gap
+    h - max(h - least[window]) is then the minimum of that window.
     """
     check_word(z)
     check_word(w)
@@ -383,15 +391,8 @@ def shift(spec: PatternSpec, z: str, w: str, i: int) -> Optional[int]:
     if len(occs) < i:
         return None
     lo, hi = occs[i - 1].extended()
-    dom = Domain(0, word_height(z))
-    best: Optional[int] = None
-    for t in iter_supporting_series(z, dom):
-        gap = max(t.values) - max(t.values[lo - 1:hi])
-        if best is None or gap < best:
-            best = gap
-            if best == 0:
-                break
-    return best
+    least = _least_support(z.translate(_MIRROR), Domain(0, word_height(z)))
+    return min(least.values[lo - 1:hi])
 
 
 def variation_of_words(spec: PatternSpec, v: str, w: str, d: Domain) -> int:

@@ -21,7 +21,13 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import bounds as bounds_mod
 from .bounds import BoundError, BoundResult, Side
-from .characteristics import CharValue, _checked_cap, _stabilize, shift
+from .characteristics import (
+    CharValue,
+    _MixedSigns,
+    _checked_cap,
+    _stabilize,
+    shift,
+)
 from .series import (
     Aggregator,
     DEFAULT_POLICY,
@@ -33,6 +39,7 @@ from .series import (
     PLUS_INF,
     PatternSpec,
     TimeSeries,
+    _least_support,
     aggregate,
     enumerate_series,
     feature_of,
@@ -80,32 +87,25 @@ class ExtremaResult:
     witness_min: Optional[TimeSeries] = None
     witness_max: Optional[TimeSeries] = None
 
-    def update(self, t: TimeSeries, val: ExtendedInt, has_occ: bool) -> None:
-        self.count += 1
-        if val < self.min_all:
+    def add(self, t: TimeSeries, val: ExtendedInt, has_occ: bool,
+            count: int = 1) -> None:
+        """Fold in ``count`` series of value ``val``, the least of them
+        ``t``.  A tie keeps the lexicographically smaller witness, and an
+        extreme still at its infinite start keeps none."""
+        self.count += count
+        tie_min = (val == self.min_all and self.witness_min is not None
+                   and t.values < self.witness_min.values)
+        if val < self.min_all or tie_min:
             self.min_all = val
             self.witness_min = t
-        if val > self.max_all:
+        tie_max = (val == self.max_all and self.witness_max is not None
+                   and t.values < self.witness_max.values)
+        if val > self.max_all or tie_max:
             self.max_all = val
             self.witness_max = t
         if has_occ:
             self.min_occ = min(self.min_occ, val)
             self.max_occ = max(self.max_occ, val)
-
-    def add_signature(self, t: TimeSeries, val: ExtendedInt, has_occ: bool,
-                      count: int) -> None:
-        """Fold in the ``count`` series of one signature, all of value
-        ``val`` and the least of them ``t``, as :meth:`update` does in
-        lexicographic order: a tie keeps the smaller witness, and an
-        extreme still at its infinite start keeps none."""
-        if (val == self.min_all and self.witness_min is not None
-                and t.values < self.witness_min.values):
-            self.witness_min = t
-        if (val == self.max_all and self.witness_max is not None
-                and t.values < self.witness_max.values):
-            self.witness_max = t
-        self.update(t, val, has_occ)  # counts t alone
-        self.count += count - 1
 
     def to_json(self):
         from .series import ext_to_json
@@ -151,7 +151,7 @@ def brute_extrema(
     for t in enumerate_series(n, d):
         occs = maximal_occurrences(spec, signature(t))
         vals = [feature_of(spec, f, t, o) for o in occs]
-        out.update(t, aggregate(g, vals, policy), bool(occs))
+        out.add(t, aggregate(g, vals, policy), bool(occs))
     return out
 
 
@@ -242,10 +242,6 @@ def _raw_superpositions(
     return out
 
 
-class _BruteMixed(Exception):
-    pass
-
-
 def _raw_variation(
     spec: PatternSpec, d: Domain, cap: int, counter: list[int]
 ) -> int:
@@ -269,7 +265,7 @@ def _raw_variation(
     if not pair_vals:
         return 0
     if any(x > 0 for x in pair_vals) and any(x < 0 for x in pair_vals):
-        raise _BruteMixed
+        raise _MixedSigns
     return min(pair_vals, key=lambda x: (abs(x), x))
 
 
@@ -284,7 +280,7 @@ def brute_variation(
     counter = [budget]
     try:
         return _stabilize(lambda c: _raw_variation(spec, d, c, counter), cap)
-    except _BruteMixed:
+    except _MixedSigns:
         return CharValue.undefined()
 
 
@@ -393,26 +389,6 @@ def _support_count(word: str, d: Domain) -> int:
     return sum(ways)
 
 
-def _least_support(word: str, d: Domain) -> Optional[TimeSeries]:
-    """The lexicographically smallest series over ``d`` with the given
-    signature, or None when there is none.
-
-    Each value is the least that its letter and ``floor`` allow, where
-    ``floor[k]`` is the least value at position k from which the rest of
-    the word fits above ``d.lo``.  The result lies pointwise below every
-    series with the signature, so it fits under ``d.hi`` iff one does.
-    """
-    floor = [d.lo]
-    for ch in reversed(word):
-        floor.append(d.lo if ch == LT else floor[-1] + (ch == GT))
-    floor.reverse()
-    vals = [floor[0]]
-    for ch, low in zip(word, floor[1:]):
-        vals.append(max(vals[-1] + 1, low) if ch == LT
-                    else low if ch == GT else vals[-1])
-    return TimeSeries(tuple(vals)) if max(vals) <= d.hi else None
-
-
 def _cell_extrema(
     spec: PatternSpec,
     n: int,
@@ -437,8 +413,7 @@ def _cell_extrema(
             vals = feats.get(f)
             if vals is None:
                 vals = feats[f] = [feature_of(spec, f, least, o) for o in occs]
-            tracker.add_signature(least, aggregate(g, vals, policy),
-                                  bool(occs), count)
+            tracker.add(least, aggregate(g, vals, policy), bool(occs), count)
     return trackers
 
 
@@ -447,7 +422,6 @@ def sharpness_report(
     gf_list: Sequence[tuple[Aggregator, Feature, Side]] = GF_SUPPORTED,
     n_range: Iterable[int] = range(2, 8),
     domains: Sequence[Domain] = (Domain(0, 1), Domain(0, 2), Domain(0, 3)),
-    policy: DefaultPolicy = DEFAULT_POLICY,
     budget: int = DEFAULT_BUDGET,
     bound_fn: Optional[Callable[..., BoundResult]] = None,
 ) -> SweepReport:
@@ -456,7 +430,8 @@ def sharpness_report(
     Eight outcomes per combination: a bound may be skipped with the error
     message of the rule that refused, or checked for validity against
     every series and, when flagged sharp, for attainment.  Budget
-    overruns abort rather than truncate.
+    overruns abort rather than truncate.  Pattern-free series take
+    ``DEFAULT_POLICY``, the defaults the bound formulas assume.
     """
     if bound_fn is None:
         bound_fn = bounds_mod.bound
@@ -481,7 +456,7 @@ def sharpness_report(
                 if not got:
                     continue
                 cells = _cell_extrema(
-                    spec, n, d, [(g, f) for g, f, _ in got], policy
+                    spec, n, d, [(g, f) for g, f, _ in got], DEFAULT_POLICY
                 )
                 for (g, f, side), br in got.items():
                     ex = cells[(g, f)]

@@ -216,11 +216,11 @@ def _carries_maximal(spec: PatternSpec, v: str, n: int, d: Domain) -> bool:
     return False
 
 
+_NO_OVERLAP_LENGTHS = 5
+
+
 def nb_no_overlap(
-    spec: PatternSpec,
-    d: Domain,
-    window: int = 4,
-    cap: Optional[int] = None,
+    spec: PatternSpec, d: Domain, cap: Optional[int] = None
 ) -> PropertyCheck:
     """Patterns never share variables, yet still occur at every length.
 
@@ -228,7 +228,7 @@ def nb_no_overlap(
     strict extensions are blocked (directly or via a glued non-factor of
     minimal height), and for each checked length a supportable signature
     carrying v as a maximal occurrence.  The length check covers the
-    window ``[width + 1, width + 1 + window]``.
+    five lengths ``width + 1 .. width + 5``.
     """
     prop = "nb-no-overlap"
     o_cv = chars.overlap(spec, d, cap)
@@ -240,8 +240,8 @@ def nb_no_overlap(
     if not cands:
         return _fail(prop, "no-minimal-word")
     eta = chars.height(spec)
-    lengths = list(range(chars.width(spec) + 1,
-                         chars.width(spec) + window + 2))
+    w = chars.width(spec)
+    lengths = list(range(w + 1, w + 1 + _NO_OVERLAP_LENGTHS))
     deepest = "extension-blocked"
     for v in cands:
         glued = None

@@ -5,7 +5,14 @@ from __future__ import annotations
 from functools import reduce
 from itertools import product
 
-from sigbounds.series import Occurrence, PatternSpec
+from sigbounds.series import (
+    Domain,
+    Occurrence,
+    PatternSpec,
+    iter_supporting_series,
+    maximal_occurrences,
+    word_height,
+)
 from sigbounds.sigregex import (
     ALPHABET,
     Automaton,
@@ -141,6 +148,23 @@ def naive_maximal_occurrences(spec: PatternSpec, s: str) -> list[Occurrence]:
             out.append(Occurrence(i, j))
     out.sort()
     return out
+
+
+def naive_shift(spec: PatternSpec, z: str, w: str, i: int):
+    """Shift of the i-th w-occurrence in z, by its definition.
+
+    Walks every series supporting z over [0, word_height(z)] and keeps the
+    least gap between the series maximum and the maximum inside the
+    occurrence's extended span; None when there is no i-th occurrence.
+    """
+    if w == z or not w:
+        return None
+    occs = [o for o in maximal_occurrences(spec, z) if z[o.i - 1:o.j] == w]
+    if len(occs) < i:
+        return None
+    lo, hi = occs[i - 1].extended()
+    return min(max(t.values) - max(t.values[lo - 1:hi])
+               for t in iter_supporting_series(z, Domain(0, word_height(z))))
 
 
 def naive_factors(node: Regex, k: int) -> set[str]:

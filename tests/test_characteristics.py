@@ -1,8 +1,11 @@
 """Language characteristics: width, height, range, inducing words, overlap,
 smallest variation, and the cap-stabilization protocol behind the last two."""
 
+import itertools
+
 import pytest
 
+from helpers import naive_shift
 from sigbounds import catalogue as cat
 from sigbounds import characteristics as ch
 from sigbounds import sigregex
@@ -199,6 +202,24 @@ class TestShift:
     def test_index_is_one_based(self):
         with pytest.raises(CharacteristicsError):
             ch.shift(DEC_TER, ">=>=>", ">=>", 0)
+
+    def test_closed_form_matches_series_enumeration(self):
+        zs = ["".join(t) for k in range(1, 7)
+              for t in itertools.product("<=>", repeat=k)]
+        positive = 0
+        for entry in cat.all_entries():
+            spec = entry.spec
+            for w in ch.language_words(spec, 3):
+                if not w:
+                    continue
+                for z in zs:
+                    for i in (1, 2):
+                        got = ch.shift(spec, z, w, i)
+                        assert got == naive_shift(spec, z, w, i), \
+                            (entry.name, z, w, i)
+                        positive += bool(got)
+        # a shift above 0 is where the greatest series matters
+        assert positive > 3000
 
 
 class TestSmallestVariation:

@@ -20,6 +20,7 @@ from sigbounds.series import (
     NEUTRAL_POLICY,
     PatternSpec,
     TimeSeries,
+    _least_support,
     evaluate,
     iter_supporting_series,
     signature,
@@ -122,7 +123,7 @@ class TestSignatureSupport:
     def test_least_series_matches_enumeration(self):
         for d in (Domain(0, 0), Domain(0, 1), Domain(0, 2), Domain(0, 3)):
             for w in self.WORDS:
-                assert orc._least_support(w, d) == \
+                assert _least_support(w, d) == \
                     next(iter_supporting_series(w, d), None), (w, d)
 
 
