@@ -395,6 +395,25 @@ def shift(spec: PatternSpec, z: str, w: str, i: int) -> Optional[int]:
     return min(least.values[lo - 1:hi])
 
 
+def _shift_gap(spec: PatternSpec, z: str, v: str, w: str) -> Optional[int]:
+    """shift(z, v, 1) - shift(z, w, 1) on a superposition z of (v, w); for
+    v == w the first two v-occurrences are compared.  None when either
+    shift is missing."""
+    sv = shift(spec, z, v, 1)
+    sw = shift(spec, z, w, 1 if v != w else 2)
+    if sv is None or sw is None:
+        return None
+    return sv - sw
+
+
+def _pair_variation(spec: PatternSpec, v: str, w: str, zs: list[str]) -> int:
+    """Least-magnitude shift gap over the superpositions zs of (v, w),
+    ties broken by canonical word order; 0 when no gap exists."""
+    gaps = (_shift_gap(spec, z, v, w) for z in zs)
+    return min((x for x in gaps if x is not None),
+               key=lambda x: (abs(x), x), default=0)
+
+
 def variation_of_words(spec: PatternSpec, v: str, w: str, d: Domain) -> int:
     """Signed difference of shifts on the tightest-gluing superposition.
 
@@ -404,24 +423,21 @@ def variation_of_words(spec: PatternSpec, v: str, w: str, d: Domain) -> int:
     wins, ties broken by canonical word order.  With no usable
     superposition the variation is 0.
     """
-    diffs = []
-    for z in superpositions(spec, v, w, d):
-        if v != w:
-            sv = shift(spec, z, v, 1)
-            sw = shift(spec, z, w, 1)
-        else:
-            sv = shift(spec, z, v, 1)
-            sw = shift(spec, z, v, 2)
-        if sv is None or sw is None:
-            continue
-        diffs.append(sv - sw)
-    if not diffs:
-        return 0
-    return min(diffs, key=lambda x: (abs(x), x))
+    return _pair_variation(spec, v, w, superpositions(spec, v, w, d))
 
 
 class _MixedSigns(Exception):
     pass
+
+
+def _least_variation(vals: list[int]) -> int:
+    """The least-magnitude value of vals, 0 when there is none.
+
+    Raises _MixedSigns when both a positive and a negative value occur.
+    """
+    if any(x > 0 for x in vals) and any(x < 0 for x in vals):
+        raise _MixedSigns
+    return min(vals, key=lambda x: (abs(x), x), default=0)
 
 
 @lru_cache(maxsize=None)
@@ -449,22 +465,15 @@ def _variation_at(spec: PatternSpec, span: int, cap: int) -> int:
         if (v, w) in seen:
             continue
         seen.add((v, w))
-        if overlap_of_words(spec, v, w, d) == 0:
-            continue
-        vals.append(variation_of_words(spec, v, w, d))
-    if any(x > 0 for x in vals) and any(x < 0 for x in vals):
-        raise _MixedSigns
-    zero_pair = False
-    for v, w in product(words, words):
-        if GT in v and LT in w and (v, w) not in seen:
-            if overlap_of_words(spec, v, w, d) != 0:
-                zero_pair = True
-                break
-    if zero_pair:
-        vals.append(0)
-    if not vals:
+        zs = superpositions(spec, v, w, d)
+        if zs:
+            vals.append(_pair_variation(spec, v, w, zs))
+    best = _least_variation(vals)
+    if best and any(superpositions(spec, v, w, d)
+                    for v, w in product(words, words)
+                    if GT in v and LT in w and (v, w) not in seen):
         return 0
-    return min(vals, key=lambda x: (abs(x), x))
+    return best
 
 
 def smallest_variation(

@@ -42,7 +42,7 @@ from .series import (
     maximal_occurrences,
     signature,
 )
-from .sigregex import RegexError, word_key
+from .sigregex import ALPHABET, RegexError, word_key
 
 SCHEMA_VERSION = 1
 BUDGET_ENV = "SIGBOUNDS_BUDGET"
@@ -80,11 +80,18 @@ def _fail(code: int, message: str) -> NoReturn:
 
 
 def _resolve(token: str) -> PatternSpec:
-    """Catalogue name, alias, or raw expression with zero trims."""
+    """Catalogue name, alias, or raw expression with zero trims.
+
+    A name that is not in the catalogue is read as an expression only if it
+    holds a letter of the alphabet or nothing but regex syntax, so that a
+    mistyped name such as ``peak1`` keeps its suggestion.
+    """
     try:
         return catalogue_mod.lookup(token).spec
     except UnknownPatternError:
-        if any(ch in token for ch in "<=>01()|*+?"):
+        syntax_only = token.strip() and all(
+            ch in "01()|*+?" or ch.isspace() for ch in token)
+        if syntax_only or any(ch in ALPHABET for ch in token):
             return PatternSpec(name=token, expr=token)
         raise
 

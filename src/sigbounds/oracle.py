@@ -1,11 +1,10 @@
 """Exhaustive ground truth for bounds and characteristics.
 
-Everything here recomputes results from raw definitions by enumeration:
-extrema of constraint results over every series of a given shape, overlap
-by scanning every candidate gluing word letter by letter, variation by
-walking every overlapping pair.  The bounded searches in the main modules
-must agree with these; the sharpness report certifies the bound formulas
-against them.
+Everything here recomputes results by enumeration: extrema of constraint
+results over every series of a given shape, and overlap and variation
+recomputed pair by pair from ``characteristics``' definitions, without the
+seam index or pruning.  The bounded searches in the main modules must agree
+with these; the sharpness report certifies the bound formulas against them.
 
 :func:`brute_extrema` walks every series.  The features of ``bounds.RULES``
 depend only on where the maximal occurrences lie, so the sweep walks the
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, product
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import bounds as bounds_mod
 from .bounds import BoundError, BoundResult, Side
@@ -25,8 +24,11 @@ from .characteristics import (
     CharValue,
     _MixedSigns,
     _checked_cap,
+    _least_variation,
+    _pair_variation,
     _stabilize,
-    shift,
+    overlap_of_words,
+    superpositions,
 )
 from .series import (
     Aggregator,
@@ -45,9 +47,8 @@ from .series import (
     feature_of,
     maximal_occurrences,
     signature,
-    word_height,
 )
-from .sigregex import ALPHABET, GT, LT, word_key, words_of_height_at_most
+from .sigregex import GT, LT, words_of_height_at_most
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -156,60 +157,19 @@ def brute_extrema(
 
 
 # --------------------------------------------------------------------------
-# Overlap and variation from raw definitions
+# Overlap and variation pair by pair
 
-def _anchored_candidates(v: str, w: str, length: int) -> Iterator[str]:
-    """Words of the given length, at least len(v) and len(w), with prefix v
-    and suffix w, in canonical order.
-
-    Lays v at the start and w at the end: where the two overlap their
-    letters must agree, and only the letters neither one fixes are free.
-    """
-    gap = length - len(v) - len(w)
-    if gap >= 0:
-        for fill in product(ALPHABET, repeat=gap):
-            yield v + "".join(fill) + w
-    elif v.endswith(w[:-gap]):
-        yield v + w[-gap:]
-
-
-def _raw_pair_overlap(
-    spec: PatternSpec,
-    v: str,
-    w: str,
-    span: int,
-    floor: int,
-    counter: list[int],
-) -> int:
-    """Best overlap of one pair by scanning gluing candidates short-first.
-
-    Only lengths that would beat ``floor`` are visited; the first valid
-    candidate wins since shorter gluings share more variables.
-    """
-    lo = max(len(v), len(w))
-    hi = len(v) + len(w) - floor
-    for length in range(lo, hi + 1):
-        for z in _anchored_candidates(v, w, length):
-            _spend(counter)
-            if spec.aut.accepts(z):
-                continue
-            if word_height(z) > span:
-                continue
-            return len(v) + len(w) - length + 1
-    return 0
-
-
-def _raw_max_overlap(
+def _all_pairs_overlap(
     spec: PatternSpec, d: Domain, cap: int, counter: list[int]
 ) -> int:
     words = [u for u in spec.aut.words_up_to(cap) if u]
     best = 0
     for v, w in product(words, words):
+        # a pair shares at most min(len v, len w) + 1 variables
         if min(len(v), len(w)) + 1 <= best:
             continue
-        got = _raw_pair_overlap(spec, v, w, d.span, best, counter)
-        if got > best:
-            best = got
+        _spend(counter, min(len(v), len(w)) + 1)
+        best = max(best, overlap_of_words(spec, v, w, d))
     return best
 
 
@@ -219,54 +179,24 @@ def brute_overlap(
     cap: Optional[int] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> CharValue:
-    """Overlap recomputed from the raw definition, cap-stabilized."""
+    """Overlap over every pair of words, cap-stabilized.  The budget counts
+    the overlays examined, min(len v, len w) + 1 per pair."""
     cap = _checked_cap(spec, cap)
     counter = [budget]
-    return _stabilize(lambda c: _raw_max_overlap(spec, d, c, counter), cap)
+    return _stabilize(lambda c: _all_pairs_overlap(spec, d, c, counter), cap)
 
 
-def _raw_superpositions(
-    spec: PatternSpec, v: str, w: str, span: int, counter: list[int]
-) -> list[str]:
-    out = []
-    lo = max(len(v), len(w))
-    for length in range(lo, len(v) + len(w) + 1):
-        for z in _anchored_candidates(v, w, length):
-            _spend(counter)
-            if spec.aut.accepts(z):
-                continue
-            if word_height(z) > span:
-                continue
-            out.append(z)
-    out.sort(key=word_key)
-    return out
-
-
-def _raw_variation(
+def _all_pairs_variation(
     spec: PatternSpec, d: Domain, cap: int, counter: list[int]
 ) -> int:
     words = [u for u in spec.aut.words_up_to(cap) if u]
-    pair_vals = []
+    vals = []
     for v, w in product(words, words):
-        zs = _raw_superpositions(spec, v, w, d.span, counter)
-        if not zs:
-            continue
-        diffs = []
-        for z in zs:
-            s1 = shift(spec, z, v, 1)
-            s2 = shift(spec, z, w, 1) if v != w else shift(spec, z, v, 2)
-            if s1 is None or s2 is None:
-                continue
-            diffs.append(s1 - s2)
-        if diffs:
-            pair_vals.append(min(diffs, key=lambda x: (abs(x), x)))
-        else:
-            pair_vals.append(0)
-    if not pair_vals:
-        return 0
-    if any(x > 0 for x in pair_vals) and any(x < 0 for x in pair_vals):
-        raise _MixedSigns
-    return min(pair_vals, key=lambda x: (abs(x), x))
+        _spend(counter, min(len(v), len(w)) + 1)
+        zs = superpositions(spec, v, w, d)
+        if zs:
+            vals.append(_pair_variation(spec, v, w, zs))
+    return _least_variation(vals)
 
 
 def brute_variation(
@@ -275,11 +205,12 @@ def brute_variation(
     cap: Optional[int] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> CharValue:
-    """Smallest variation over every overlapping pair, cap-stabilized."""
+    """Smallest variation over every overlapping pair, cap-stabilized.
+    The budget counts overlays as in :func:`brute_overlap`."""
     cap = _checked_cap(spec, cap)
     counter = [budget]
     try:
-        return _stabilize(lambda c: _raw_variation(spec, d, c, counter), cap)
+        return _stabilize(lambda c: _all_pairs_variation(spec, d, c, counter), cap)
     except _MixedSigns:
         return CharValue.undefined()
 

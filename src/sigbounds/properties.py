@@ -117,7 +117,6 @@ def _glue_failure(
     z: str,
     first: str,
     second: str,
-    second_index: int,
     o: int,
     delta: int,
     eta: int,
@@ -130,11 +129,8 @@ def _glue_failure(
         return "superposition-not-factor"
     if word_height(z) != eta + abs(delta):
         return "superposition-height"
-    if check_equation:
-        s1 = chars.shift(spec, z, first, 1)
-        s2 = chars.shift(spec, z, second, second_index)
-        if s1 is None or s2 is None or s1 - s2 != delta:
-            return "variation-equation"
+    if check_equation and chars._shift_gap(spec, z, first, second) != delta:
+        return "variation-equation"
     return None
 
 
@@ -185,9 +181,7 @@ def nb_overlap(
         note("superposition-exists")
         z1_hit = None
         for z in chars.superpositions(spec, v, w, d):
-            bad = _glue_failure(
-                spec, z, v, w, 1 if v != w else 2, o, delta, eta, True
-            )
+            bad = _glue_failure(spec, z, v, w, o, delta, eta, True)
             if bad is None:
                 z1_hit = z
                 break
@@ -195,7 +189,7 @@ def nb_overlap(
         if z1_hit is None:
             continue
         for z in chars.superpositions(spec, w, v, d):
-            bad = _glue_failure(spec, z, w, v, 1, o, delta, eta, v != w)
+            bad = _glue_failure(spec, z, w, v, o, delta, eta, v != w)
             if bad is None:
                 return PropertyCheck(
                     prop, True,

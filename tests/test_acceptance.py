@@ -3,7 +3,7 @@
 Eight checks certify the package end to end: golden characteristics for
 the whole catalogue, a full validity-and-sharpness sweep against the
 exhaustive oracle, the worked figure, closed-form formula instances,
-agreement between the bounded search and the raw-definition oracle, the
+agreement between the bounded search and the pair-by-pair oracle, the
 height formula, the occurrence-feasibility condition, and the shipped-data
 inventory.  Each test prints one PASS/FAIL line to the real stdout so the
 verdicts stay visible under output capture.

@@ -81,6 +81,26 @@ class TestChars:
         assert "did you mean" in p.stderr
         assert "peak" in p.stderr
 
+    def test_mistyped_name_with_regex_characters_suggests(self):
+        for token in ("peak1", "steady+"):
+            p = run("chars", token)
+            assert p.returncode == 2, token
+            assert "did you mean" in p.stderr, token
+            assert "unexpected" not in p.stderr, token
+        assert "did you mean: peak" in run("chars", "peak1").stderr
+
+    def test_regex_syntax_alone_is_a_raw_expression(self):
+        # "1" is the empty word: parsed, then refused for its language
+        p = run("chars", "1")
+        assert p.returncode == 2
+        assert "no nonempty word in the language" in p.stderr
+        assert "unknown pattern" not in p.stderr
+
+    def test_raw_expression_keeps_the_parse_error_column(self):
+        p = run("chars", "<x>")
+        assert p.returncode == 2
+        assert "unexpected 'x' (column 2)" in p.stderr
+
     def test_cap_below_width_exits_two(self):
         # probes up to 4 letters see no word of width 5 and read overlap 0
         p = run("chars", "bump_on_decreasing_sequence", "--hi", "4",

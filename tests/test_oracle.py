@@ -1,4 +1,4 @@
-"""Exhaustive oracle: exact extrema, raw-definition characteristics, and
+"""Exhaustive oracle: exact extrema, pair-by-pair characteristics, and
 the sweep that certifies every closed-form bound against enumeration."""
 
 import itertools
@@ -9,6 +9,7 @@ import pytest
 from helpers import naive_anchored_candidates
 from sigbounds import bounds as bd
 from sigbounds import catalogue as cat
+from sigbounds import characteristics as ch
 from sigbounds import oracle as orc
 from sigbounds.bounds import BoundResult, Side
 from sigbounds.characteristics import CharValue
@@ -25,7 +26,9 @@ from sigbounds.series import (
     iter_supporting_series,
     signature,
     supporting_series,
+    word_height,
 )
+from sigbounds.sigregex import word_key
 
 PEAK = PatternSpec("peak", "<(<|=)*(>|=)*>", a=1, b=1)
 DEC = PatternSpec("dec", ">")
@@ -147,17 +150,49 @@ class TestRawCharacteristics:
         assert orc.brute_variation(PEAK, Domain(0, 1), cap=4) \
             == CharValue.defined(0)
 
-    def test_anchored_candidates_match_generate_and_test(self):
-        words = ["".join(t) for k in range(5)
-                 for t in itertools.product("<=>", repeat=k)]
-        for v, w in itertools.product(words, words):
-            for length in range(max(len(v), len(w)), len(v) + len(w) + 2):
-                assert list(orc._anchored_candidates(v, w, length)) == list(
-                    naive_anchored_candidates(v, w, length)), (v, w, length)
+    def test_superpositions_match_generate_and_test(self):
+        # every word with prefix v and suffix w, no longer than v and w laid
+        # end to end, that leaves the language and fits the span
+        for entry in cat.all_entries():
+            spec = entry.spec
+            words = [u for u in spec.aut.words_up_to(3) if u]
+            for v, w in itertools.product(words, words):
+                cands = [z for length in range(max(len(v), len(w)),
+                                               len(v) + len(w) + 1)
+                         for z in naive_anchored_candidates(v, w, length)
+                         if not spec.aut.accepts(z)]
+                for span in range(4):
+                    want = sorted((z for z in cands
+                                   if word_height(z) <= span), key=word_key)
+                    got = ch.superpositions(spec, v, w, Domain(0, span))
+                    assert got == want, (entry.name, v, w, span)
 
     def test_budget_applies_to_gluing_search(self):
         with pytest.raises(orc.BudgetExceededError):
             orc.brute_overlap(PEAK, Domain(0, 1), budget=5)
+
+    def test_raw_regexes_match_the_fast_searches(self):
+        # the pruned variation and the seam-indexed overlap against every
+        # pair, on each one-branch regex of one or two letters with at most
+        # one nullable factor inserted anywhere (408 regexes)
+        nullable = ([a + op for a in "<=>" for op in "*?"]
+                    + [f"({a}|{b})?" for a, b in
+                       itertools.permutations("<=>", 2)])
+        exprs = []
+        for k in (1, 2):
+            for letters in itertools.product("<=>", repeat=k):
+                exprs.append("".join(letters))
+                exprs += ["".join(letters[:at]) + f + "".join(letters[at:])
+                          for f in nullable for at in range(k + 1)]
+        assert len(exprs) == 408
+        for e in exprs:
+            spec = PatternSpec(e, e)
+            for span in (1, 2, 3):
+                d = Domain(0, span)
+                assert ch.overlap(spec, d) == orc.brute_overlap(spec, d), \
+                    (e, span)
+                assert ch.smallest_variation(spec, d) == \
+                    orc.brute_variation(spec, d), (e, span)
 
 
 # two-branch raw regexes mixing a branch whose width grows with the span

@@ -1,6 +1,8 @@
-"""The package's public names."""
+"""The package's public names and its modules' imports."""
 
+import ast
 import types
+from pathlib import Path
 
 import sigbounds
 
@@ -16,3 +18,27 @@ class TestPublicNames:
         assert "compile_regex" in sigbounds.__all__
         assert "compile" not in sigbounds.__all__
         assert "__version__" in sigbounds.__all__
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    """Names bound by the module's imports, apart from ``__future__``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out.update(a.asname or a.name for a in node.names)
+    return out
+
+
+class TestImports:
+    def test_every_imported_name_is_used(self):
+        package = Path(sigbounds.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text("utf-8"))
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            unused = _imported_names(tree) - used
+            if path.name == "__init__.py":
+                # the package re-exports what it imports
+                unused -= set(sigbounds.__all__)
+            assert not unused, (path.name, sorted(unused))
