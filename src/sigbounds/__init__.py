@@ -21,12 +21,10 @@ from .sigregex import (
 )
 from .sigregex import compile as compile_regex
 from .series import (
-    DEFAULT_POLICY,
+    DEFAULTS,
     MINUS_INF,
-    NEUTRAL_POLICY,
     PLUS_INF,
     Aggregator,
-    DefaultPolicy,
     Domain,
     DomainError,
     EmptyPatternError,

@@ -165,7 +165,7 @@ def range_of(spec: PatternSpec, n: int) -> CharValue:
     if n < 2:
         raise CharacteristicsError("series length must be at least 2")
     for h in range(n):
-        if _supportable(spec, h).exists_word_of_length(n - 1):
+        if _supportable(spec, h).lengths_up_to(n - 1) >> (n - 1) & 1:
             return CharValue.defined(h)
     return CharValue.undefined()
 
@@ -332,17 +332,24 @@ def _max_overlap(spec: PatternSpec, span: int, cap: int) -> int:
     return 0
 
 
-def _stabilize(measure: Callable[[int], int], cap: int) -> CharValue:
-    """Probe a capped measure at cap, cap+1, cap+2.
+def _stabilize(measure: Callable[[int], Optional[int]],
+               cap: int) -> CharValue:
+    """Probe a capped measure at cap, cap+2 and, when those differ, cap+1.
 
-    Stable ends report Defined; a strict increase across all three probes
-    reports Unbounded; anything else is CapLimited at the deepest cap.
+    A probe reading None (no value, such as mixed variation signs) reports
+    Undefined; stable ends report Defined; a strict increase across all
+    three probes reports Unbounded; anything else is CapLimited at the
+    deepest cap.
     """
     v0 = measure(cap)
-    v2 = measure(cap + 2)
+    v2 = None if v0 is None else measure(cap + 2)
+    if v2 is None:
+        return CharValue.undefined()
     if v0 == v2:
         return CharValue.defined(v0)
     v1 = measure(cap + 1)
+    if v1 is None:
+        return CharValue.undefined()
     if v0 < v1 < v2:
         return CharValue.unbounded(cap + 2)
     return CharValue.cap_limited(v2, cap + 2)
@@ -426,25 +433,18 @@ def variation_of_words(spec: PatternSpec, v: str, w: str, d: Domain) -> int:
     return _pair_variation(spec, v, w, superpositions(spec, v, w, d))
 
 
-class _MixedSigns(Exception):
-    pass
-
-
-def _least_variation(vals: list[int]) -> int:
-    """The least-magnitude value of vals, 0 when there is none.
-
-    Raises _MixedSigns when both a positive and a negative value occur.
-    """
+def _least_variation(vals: list[int]) -> Optional[int]:
+    """The least-magnitude value of vals, 0 when there is none, and None
+    when both a positive and a negative value occur."""
     if any(x > 0 for x in vals) and any(x < 0 for x in vals):
-        raise _MixedSigns
+        return None
     return min(vals, key=lambda x: (abs(x), x), default=0)
 
 
 @lru_cache(maxsize=None)
-def _variation_at(spec: PatternSpec, span: int, cap: int) -> int:
-    """Smallest-magnitude variation over overlapping pairs at one cap.
-
-    Raises _MixedSigns when both a positive and a negative variation occur.
+def _variation_at(spec: PatternSpec, span: int, cap: int) -> Optional[int]:
+    """Smallest-magnitude variation over overlapping pairs at one cap, or
+    None when both a positive and a negative variation occur.
 
     Only a word without ``>`` can open a positive variation, and only a
     word without ``<`` can close a negative one: a strict letter inside the
@@ -489,10 +489,7 @@ def smallest_variation(
 
 @lru_cache(maxsize=None)
 def _smallest_variation(spec: PatternSpec, span: int, cap: int) -> CharValue:
-    try:
-        return _stabilize(lambda c: _variation_at(spec, span, c), cap)
-    except _MixedSigns:
-        return CharValue.undefined()
+    return _stabilize(lambda c: _variation_at(spec, span, c), cap)
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from . import bounds as bounds_mod
 from .bounds import BoundError, BoundResult, Side
 from .characteristics import (
     CharValue,
-    _MixedSigns,
     _checked_cap,
     _least_variation,
     _pair_variation,
@@ -32,8 +31,6 @@ from .characteristics import (
 )
 from .series import (
     Aggregator,
-    DEFAULT_POLICY,
-    DefaultPolicy,
     Domain,
     ExtendedInt,
     Feature,
@@ -72,10 +69,10 @@ def _spend(counter: list[int], amount: int = 1) -> None:
 class ExtremaResult:
     """Exact extrema of a constraint result over one series shape.
 
-    ``min_all``/``max_all`` range over every series with the policy
-    default for pattern-free ones; ``min_occ``/``max_occ`` restrict to
-    series having at least one occurrence and degenerate to +inf/-inf
-    when no such series exists.
+    ``min_all``/``max_all`` range over every series, a pattern-free one
+    counting as its aggregator's ``DEFAULTS`` value; ``min_occ`` and
+    ``max_occ`` restrict to series having at least one occurrence and
+    degenerate to +inf/-inf when no such series exists.
     """
 
     n: int
@@ -144,7 +141,6 @@ def brute_extrema(
     n: int,
     d: Domain,
     budget: int = DEFAULT_BUDGET,
-    policy: DefaultPolicy = DEFAULT_POLICY,
 ) -> ExtremaResult:
     """Exact result extrema by full enumeration in lexicographic order."""
     check_budget(n, d, budget)
@@ -152,7 +148,7 @@ def brute_extrema(
     for t in enumerate_series(n, d):
         occs = maximal_occurrences(spec, signature(t))
         vals = [feature_of(spec, f, t, o) for o in occs]
-        out.add(t, aggregate(g, vals, policy), bool(occs))
+        out.add(t, aggregate(g, vals), bool(occs))
     return out
 
 
@@ -209,10 +205,7 @@ def brute_variation(
     The budget counts overlays as in :func:`brute_overlap`."""
     cap = _checked_cap(spec, cap)
     counter = [budget]
-    try:
-        return _stabilize(lambda c: _all_pairs_variation(spec, d, c, counter), cap)
-    except _MixedSigns:
-        return CharValue.undefined()
+    return _stabilize(lambda c: _all_pairs_variation(spec, d, c, counter), cap)
 
 
 # --------------------------------------------------------------------------
@@ -325,7 +318,6 @@ def _cell_extrema(
     n: int,
     d: Domain,
     gfs: Iterable[tuple[Aggregator, Feature]],
-    policy: DefaultPolicy,
 ) -> dict[tuple[Aggregator, Feature], ExtremaResult]:
     """What :func:`brute_extrema` gives for several aggregator/feature
     pairs, from one pass over the signatures of height at most the span.
@@ -344,7 +336,7 @@ def _cell_extrema(
             vals = feats.get(f)
             if vals is None:
                 vals = feats[f] = [feature_of(spec, f, least, o) for o in occs]
-            tracker.add(least, aggregate(g, vals, policy), bool(occs), count)
+            tracker.add(least, aggregate(g, vals), bool(occs), count)
     return trackers
 
 
@@ -362,7 +354,7 @@ def sharpness_report(
     message of the rule that refused, or checked for validity against
     every series and, when flagged sharp, for attainment.  Budget
     overruns abort rather than truncate.  Pattern-free series take
-    ``DEFAULT_POLICY``, the defaults the bound formulas assume.
+    ``series.DEFAULTS``, the values the bound formulas assume.
     """
     if bound_fn is None:
         bound_fn = bounds_mod.bound
@@ -386,9 +378,7 @@ def sharpness_report(
                         ))
                 if not got:
                     continue
-                cells = _cell_extrema(
-                    spec, n, d, [(g, f) for g, f, _ in got], DEFAULT_POLICY
-                )
+                cells = _cell_extrema(spec, n, d, [(g, f) for g, f, _ in got])
                 for (g, f, side), br in got.items():
                     ex = cells[(g, f)]
                     if side is Side.UPPER:

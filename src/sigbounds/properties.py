@@ -262,25 +262,14 @@ def nb_no_overlap(
 def is_fixed_length(spec: PatternSpec) -> bool:
     """All nonempty language words share one length.
 
-    Exact on the trimmed automaton: bit k of ``paths[q]`` is set when a
-    path of k letters leads from an initial state to q.  After n_states
-    rounds of relaxation over the arcs a path of n_states letters exists
-    iff the automaton has a cycle, and with it unboundedly many lengths.
+    Exact by the pumping bound (Hopcroft & Ullman, 1979, Thm 3.7): an
+    automaton of n states accepts infinitely many words iff it accepts one
+    of n .. 2n - 1 letters, and a finite language has no word of n letters
+    or more.  So the nonempty lengths up to 2n - 1 must be one, below n.
     """
-    aut = spec.aut
-    n = aut.n_states
-    paths = [aut.initial >> q & 1 for q in range(n)]
-    for _ in range(n):
-        for pairs in aut.arcs.values():
-            for q, r in pairs:
-                paths[r] |= paths[q] << 1
-    lengths = 0
-    for q in range(n):
-        if paths[q] >> n:
-            return False
-        if aut.accepting >> q & 1:
-            lengths |= paths[q] & ~1
-    return lengths != 0 and lengths & (lengths - 1) == 0
+    n = spec.aut.n_states
+    nonempty = spec.aut.lengths_up_to(2 * n - 1) & ~1
+    return 0 < nonempty < 1 << n and nonempty & (nonempty - 1) == 0
 
 
 def width_max(spec: PatternSpec) -> PropertyCheck:

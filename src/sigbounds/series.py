@@ -72,30 +72,9 @@ class Aggregator(str, Enum):
     SUM = "sum"
 
 
-@dataclass(frozen=True)
-class DefaultPolicy:
-    """Result of an aggregator when no occurrence exists.
-
-    The defaults are the identity-flavoured choices ``sum -> 0``,
-    ``max -> 0`` and ``min -> +inf``.  A strict variant mapping ``max`` to
-    ``-inf`` is available as :data:`NEUTRAL_POLICY` for callers that prefer
-    the lattice identities.
-    """
-
-    sum_default: ExtendedInt = 0
-    max_default: ExtendedInt = 0
-    min_default: ExtendedInt = PLUS_INF
-
-    def default(self, g: Aggregator) -> ExtendedInt:
-        if g is Aggregator.SUM:
-            return self.sum_default
-        if g is Aggregator.MAX:
-            return self.max_default
-        return self.min_default
-
-
-DEFAULT_POLICY = DefaultPolicy()
-NEUTRAL_POLICY = DefaultPolicy(max_default=MINUS_INF)
+# Each aggregator's result over no occurrence, as the bound formulas assume.
+DEFAULTS: dict[Aggregator, ExtendedInt] = {
+    Aggregator.SUM: 0, Aggregator.MAX: 0, Aggregator.MIN: PLUS_INF}
 
 
 @dataclass(frozen=True)
@@ -364,14 +343,10 @@ def feature_of(spec: PatternSpec, f: Feature, t: TimeSeries,
     raise TypeError(f"unknown feature {f!r}")
 
 
-def aggregate(
-    g: Aggregator,
-    vals: Sequence[int],
-    policy: DefaultPolicy = DEFAULT_POLICY,
-) -> ExtendedInt:
-    """Combine feature values with ``g``; the policy default when empty."""
+def aggregate(g: Aggregator, vals: Sequence[int]) -> ExtendedInt:
+    """Combine feature values with ``g``; ``DEFAULTS[g]`` when empty."""
     if not vals:
-        return policy.default(g)
+        return DEFAULTS[g]
     if g is Aggregator.SUM:
         return sum(vals)
     if g is Aggregator.MAX:
@@ -386,14 +361,13 @@ def evaluate(
     f: Feature,
     g: Aggregator,
     t: TimeSeries,
-    policy: DefaultPolicy = DEFAULT_POLICY,
 ) -> ExtendedInt:
     """Aggregate the feature over all maximal occurrences in ``t``.
 
-    With no occurrence the policy default applies.
+    With no occurrence the aggregator's entry in ``DEFAULTS`` applies.
     """
     occs = maximal_occurrences(spec, signature(t))
-    return aggregate(g, [feature_of(spec, f, t, o) for o in occs], policy)
+    return aggregate(g, [feature_of(spec, f, t, o) for o in occs])
 
 
 def enumerate_series(n: int, d: Domain) -> Iterator[TimeSeries]:

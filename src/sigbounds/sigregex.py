@@ -458,37 +458,28 @@ class Automaton:
             return False
         return bool(self._read((1 << self.n_states) - 1, word))
 
-    def _successors(self, states: int) -> int:
-        """The states reached from ``states`` by reading any one letter."""
-        return (self.step(states, LT) | self.step(states, EQ)
-                | self.step(states, GT))
-
-    def exists_word_of_length(self, k: int) -> bool:
-        """Does the language contain a word of length exactly ``k``?"""
-        if k < 0:
-            return False
-        cur = self.initial
-        for _ in range(k):
-            cur = self._successors(cur)
+    def lengths_up_to(self, limit: int) -> int:
+        """Bitmask of the word lengths up to ``limit``: bit k is set iff
+        the language has a word of exactly k letters.  One pass of
+        :meth:`step`, stopping once no state is reached."""
+        out, cur = 0, self.initial
+        for k in range(limit + 1):
+            if cur & self.accepting:
+                out |= 1 << k
+            cur = self.step(cur, LT) | self.step(cur, EQ) | self.step(cur, GT)
             if not cur:
-                return False
-        return bool(cur & self.accepting)
+                break
+        return out
 
     def shortest_nonempty_length(self) -> Optional[int]:
         """Length of a shortest nonempty accepted word, or None.
 
-        A breadth-first search over states; each arc consumes one letter.
+        A shortest nonempty accepting path repeats no state after its first
+        letter, since cutting out the loop would leave a shorter nonempty
+        one, so it has at most ``n_states`` letters.
         """
-        seen = frontier = self.initial
-        dist = 0
-        while frontier:
-            dist += 1
-            nxt = self._successors(frontier)
-            if nxt & self.accepting:
-                return dist
-            frontier = nxt & ~seen
-            seen |= frontier
-        return None
+        nonempty = self.lengths_up_to(self.n_states) >> 1
+        return (nonempty & -nonempty).bit_length() or None
 
     def intersect(self, other: "Automaton") -> "Automaton":
         """Product automaton for the intersection of the two languages.

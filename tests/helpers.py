@@ -220,6 +220,38 @@ def naive_factors(node: Regex, k: int) -> set[str]:
     return set() if got is None else got[3]
 
 
+def naive_lengths(node: Regex, k: int) -> set[int]:
+    """Lengths of at most k letters of the language's words.
+
+    Structural recursion, independent of any automaton: a letter has
+    length 1, a concatenation the sums of its parts' lengths, a union the
+    union of its parts', and a star every sum of its inner lengths.
+    """
+
+    def cat(a, b):
+        return {x + y for x in a for y in b if x + y <= k}
+
+    def go(n: Regex) -> set[int]:
+        if isinstance(n, Empty):
+            return set()
+        if isinstance(n, Epsilon):
+            return {0}
+        if isinstance(n, Lit):
+            return {1}
+        if isinstance(n, Concat):
+            return reduce(cat, map(go, n.parts))
+        if isinstance(n, Union):
+            return set().union(*map(go, n.parts))
+        if isinstance(n, Star):
+            inner, out = go(n.inner), {0}
+            while more := cat(out, inner) - out:
+                out |= more
+            return out
+        raise TypeError(f"unknown node {n!r}")
+
+    return go(node)
+
+
 def naive_anchored_candidates(v: str, w: str, length: int):
     """Words of the given length with prefix v and suffix w.
 

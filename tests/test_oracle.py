@@ -15,10 +15,8 @@ from sigbounds.bounds import BoundResult, Side
 from sigbounds.characteristics import CharValue
 from sigbounds.series import (
     Aggregator,
-    DEFAULT_POLICY,
     Domain,
     Feature,
-    NEUTRAL_POLICY,
     PatternSpec,
     TimeSeries,
     _least_support,
@@ -87,22 +85,26 @@ class TestCellExtrema:
         grid = [(d, n) for d in (Domain(0, 1), Domain(0, 2))
                 for n in range(2, 7)]
         grid += [(Domain(0, 3), n) for n in range(2, 6)]
-        # the neutral policy leaves max at -inf without occurrences, so
-        # extremes that stay infinite keep no witness
-        for policy in (DEFAULT_POLICY, NEUTRAL_POLICY):
-            for d, n in grid:
-                cells = orc._cell_extrema(spec, n, d, gfs, policy)
-                for g, f in gfs:
-                    got = cells[(g, f)]
-                    ref = orc.brute_extrema(spec, f, g, n, d, policy=policy)
-                    assert _extrema_fields(got) == _extrema_fields(ref), \
-                        (name, g, f, n, d, policy)
+        for d, n in grid:
+            cells = orc._cell_extrema(spec, n, d, gfs)
+            for g, f in gfs:
+                got = cells[(g, f)]
+                ref = orc.brute_extrema(spec, f, g, n, d)
+                assert _extrema_fields(got) == _extrema_fields(ref), \
+                    (name, g, f, n, d)
+
+    def test_an_extreme_still_infinite_keeps_no_witness(self):
+        # no series of two values holds a peak, so every min_width is the
+        # +inf default and no series attains a smaller one
+        gf = (Aggregator.MIN, Feature.WIDTH)
+        got = orc._cell_extrema(PEAK, 2, Domain(0, 1), [gf])[gf]
+        assert got.min_all == math.inf and got.witness_min is None
+        assert got.witness_max == TimeSeries((0, 0))
 
     def test_value_dependent_feature_is_refused(self):
         with pytest.raises(ValueError, match="surf"):
             orc._cell_extrema(PEAK, 4, Domain(0, 1),
-                              [(Aggregator.SUM, Feature.SURF)],
-                              DEFAULT_POLICY)
+                              [(Aggregator.SUM, Feature.SURF)])
 
         def surf_bound(g, f, side, spec, n, d, cap=None):
             return BoundResult(0, side, False, "test")

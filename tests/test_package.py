@@ -2,6 +2,7 @@
 
 import ast
 import types
+from collections import Counter
 from pathlib import Path
 
 import sigbounds
@@ -42,3 +43,34 @@ class TestImports:
                 # the package re-exports what it imports
                 unused -= set(sigbounds.__all__)
             assert not unused, (path.name, sorted(unused))
+
+
+def _named(tree: ast.AST) -> Counter:
+    """How often each name is read, as a variable, an attribute or an
+    imported name."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name] += 1
+    return out
+
+
+class TestPrivateNames:
+    def test_every_private_definition_is_used(self):
+        package = Path(sigbounds.__file__).parent
+        trees = {p.name: ast.parse(p.read_text("utf-8"))
+                 for p in sorted(package.glob("*.py"))}
+        named = sum(map(_named, trees.values()), Counter())
+        unused = []
+        for module, tree in trees.items():
+            for node in ast.walk(tree):
+                if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and node.name.startswith("_")
+                        and not node.name.startswith("__")
+                        and named[node.name] == _named(node)[node.name]):
+                    unused.append(f"{module}:{node.name}")
+        assert not unused

@@ -15,7 +15,6 @@ from sigbounds import series as se
 from sigbounds.cli import main
 from sigbounds.series import (
     Aggregator,
-    DefaultPolicy,
     Domain,
     DomainError,
     EmptyPatternError,
@@ -216,12 +215,6 @@ class TestEvaluate:
         assert se.evaluate(PEAK, Feature.WIDTH, Aggregator.MIN, flat) \
             == math.inf
 
-    def test_neutral_policy_uses_lattice_identity(self):
-        flat = TimeSeries((1, 1, 1))
-        got = se.evaluate(PEAK, Feature.WIDTH, Aggregator.MAX, flat,
-                          policy=se.NEUTRAL_POLICY)
-        assert got == -math.inf
-
     def test_aggregate_combines_values(self):
         vals = [3, 1, 2]
         assert se.aggregate(Aggregator.SUM, vals) == 6
@@ -230,15 +223,13 @@ class TestEvaluate:
 
     def test_aggregate_of_nothing_is_the_policy_default(self):
         for g in Aggregator:
-            assert se.aggregate(g, []) == se.DEFAULT_POLICY.default(g)
-            assert se.aggregate(g, [], se.NEUTRAL_POLICY) == \
-                se.NEUTRAL_POLICY.default(g)
+            assert se.aggregate(g, []) == se.DEFAULTS[g]
 
     def test_policy_defaults(self):
-        p = DefaultPolicy()
-        assert p.default(Aggregator.SUM) == 0
-        assert p.default(Aggregator.MAX) == 0
-        assert p.default(Aggregator.MIN) == math.inf
+        assert se.DEFAULTS[Aggregator.SUM] == 0
+        assert se.DEFAULTS[Aggregator.MAX] == 0
+        assert se.DEFAULTS[Aggregator.MIN] == math.inf
+        assert set(se.DEFAULTS) == set(Aggregator)
 
 
 class TestSupportingSeries:

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_factors, naive_matches, naive_maximal_occurrences
+from helpers import (
+    naive_factors,
+    naive_lengths,
+    naive_matches,
+    naive_maximal_occurrences,
+)
+from sigbounds import properties as pr
 from sigbounds import sigregex as sr
 from sigbounds.series import PatternSpec, maximal_occurrences, word_height
 
@@ -126,11 +132,8 @@ class TestAutomaton:
         assert not rich.is_factor("<")
         assert not sr.compile(sr.parse("0")).is_factor("")
 
-    def test_exists_word_of_length(self):
-        aut = sr.compile(sr.parse(">=+>"))
-        assert not aut.exists_word_of_length(2)
-        assert aut.exists_word_of_length(3)
-        assert aut.exists_word_of_length(4)
+    def test_lengths_up_to(self):
+        assert sr.compile(sr.parse(">=+>")).lengths_up_to(5) == 0b111000
 
     def test_shortest_nonempty_length(self):
         assert sr.compile(sr.parse(">=+>")).shortest_nonempty_length() == 3
@@ -209,15 +212,19 @@ class TestAgainstNaiveMatcher:
         for w in SHORT_WORDS:
             assert aut.accepts(w) == (w in members), (node, w)
         assert aut.words_up_to(3) == sorted(members, key=sr.word_key)
-        for k in range(4):
-            assert aut.exists_word_of_length(k) == any(
-                len(w) == k for w in members), (node, k)
-        nonempty = [len(w) for w in members if w]
-        shortest = aut.shortest_nonempty_length()
-        if nonempty:
-            assert shortest == min(nonempty), node
-        else:
-            assert shortest is None or shortest > 3, node
+        # the pumping bound and the shortest-word bound need lengths up to
+        # 2 n_states - 1 and n_states
+        n = aut.n_states
+        lengths = naive_lengths(node, max(8, 2 * n - 1))
+        for k in range(9):
+            assert aut.lengths_up_to(k) == sum(
+                1 << x for x in lengths if x <= k), (node, k)
+        nonempty = sorted(x for x in lengths if x)
+        assert aut.shortest_nonempty_length() == (
+            nonempty[0] if nonempty else None), node
+        fixed = len(nonempty) == 1 and nonempty[0] < n
+        assert pr.is_fixed_length(PatternSpec("h", sr.render(node))) == \
+            fixed, node
         factors = naive_factors(node, 3)
         for w in SHORT_WORDS:
             assert aut.is_factor(w) == (w in factors), (node, w)
