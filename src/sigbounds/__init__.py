@@ -39,7 +39,6 @@ from .series import (
     fmt_ext,
     maximal_occurrences,
     signature,
-    supporting_series,
     word_height,
 )
 from .characteristics import (

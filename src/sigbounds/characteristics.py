@@ -2,7 +2,8 @@
 overlap and smallest variation of maxima.
 
 Width and height are plain language measures.  The range function reports,
-for a series length, the smallest domain span admitting an occurrence.  The
+for a series length, the smallest domain span admitting an occurrence; exact
+length sets decide which affine template in n it follows, if any.  The
 remaining three describe how occurrences interact when packed tightly:
 superpositions are the words gluing two occurrences together, the overlap
 counts the variables two adjacent patterns can share, and the smallest
@@ -17,6 +18,7 @@ and cached, like the plain language measures.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -161,33 +163,55 @@ def range_of(spec: PatternSpec, n: int) -> CharValue:
 
     Equivalently: the least h such that the language contains a word of
     length n - 1 and height at most h.  Undefined when no such word exists.
+    Read off the template if one holds, else bisected: H_h is in H_{h+1}.
     """
     if n < 2:
         raise CharacteristicsError("series length must be at least 2")
-    for h in range(n):
-        if _supportable(spec, h).lengths_up_to(n - 1) >> (n - 1) & 1:
-            return CharValue.defined(h)
-    return CharValue.undefined()
+    if not spec.aut.has_length(n - 1):
+        return CharValue.undefined()
+    if (ec := range_params(spec)) and n >= width(spec) + 2:
+        e, c = ec
+        return CharValue.defined(e * (n - 1 - height(spec)) + c + height(spec))
+    return CharValue.defined(bisect_left(
+        range(n - 1), True,
+        key=lambda h: _supportable(spec, h).has_length(n - 1)))
+
+
+def _lengths_from(aut: sigregex.Automaton, m: int, present: bool) -> bool:
+    """Whether every length from m on is present in aut, or none is: one
+    period past the periodic start covers them all."""
+    _, start, period = aut.lengths()
+    return all(aut.has_length(k) == present
+               for k in range(m, max(m, start) + period))
+
+
+@lru_cache(maxsize=None)
+def _non_monotone() -> sigregex.Automaton:
+    """Words holding ``=`` or both strict letters: exactly those whose
+    height is below their length.  Compiled on first use."""
+    return sigregex.compile(sigregex.parse(
+        "(<|=|>)*(=|<(<|=|>)*>|>(<|=|>)*<)(<|=|>)*"))
 
 
 @lru_cache(maxsize=None)
 def range_params(spec: PatternSpec) -> Optional[tuple[int, int]]:
-    """Fit the affine template e*(n - 1 - eta) + c + eta to the range.
+    """The affine template e*(n - 1 - eta) + c + eta the range follows at
+    every n >= omega + 2, decided exactly, or None when none holds.
 
-    Samples the range at n = omega + 2 .. omega + 4 and tries the slopes
-    and offsets (0,0), (0,1), (1,0).  Returns None when the range is not
-    defined at a sample point or no template fits.
+    With m = omega + 1 letters and on: (0, 0) when L within height eta has
+    every length; (0, 1) when it has none but L within height eta + 1 has
+    every one; (1, 0) when L has every length and no non-monotone word.
     """
-    w, h = width(spec), height(spec)
-    samples = []
-    for n in (w + 2, w + 3, w + 4):
-        cv = range_of(spec, n)
-        if not cv.is_defined:
-            return None
-        samples.append((n, cv.expect()))
-    for e, c in ((0, 0), (0, 1), (1, 0)):
-        if all(val == e * (n - 1 - h) + c + h for n, val in samples):
-            return (e, c)
+    m, eta = width(spec) + 1, height(spec)
+    low = _supportable(spec, eta)
+    if _lengths_from(low, m, True):
+        return (0, 0)
+    if (_lengths_from(low, m, False)
+            and _lengths_from(_supportable(spec, eta + 1), m, True)):
+        return (0, 1)
+    if (_lengths_from(spec.aut, m, True)
+            and _lengths_from(spec.aut.intersect(_non_monotone()), m, False)):
+        return (1, 0)
     return None
 
 

@@ -258,26 +258,20 @@ def nb_no_overlap(
 # --------------------------------------------------------------------------
 # Width properties
 
-@lru_cache(maxsize=None)
 def is_fixed_length(spec: PatternSpec) -> bool:
-    """All nonempty language words share one length.
-
-    Exact by the pumping bound (Hopcroft & Ullman, 1979, Thm 3.7): an
-    automaton of n states accepts infinitely many words iff it accepts one
-    of n .. 2n - 1 letters, and a finite language has no word of n letters
-    or more.  So the nonempty lengths up to 2n - 1 must be one, below n.
-    """
-    n = spec.aut.n_states
-    nonempty = spec.aut.lengths_up_to(2 * n - 1) & ~1
-    return 0 < nonempty < 1 << n and nonempty & (nonempty - 1) == 0
+    """All nonempty language words share one length: the only one, and
+    below the periodic start, since every length from there on recurs."""
+    bits, start, _ = spec.aut.lengths()
+    nonempty = bits & ~1
+    return 0 < nonempty < 1 << start and nonempty & (nonempty - 1) == 0
 
 
 def width_max(spec: PatternSpec) -> PropertyCheck:
     """The widest-occurrence bound has its closed affine form.
 
-    Needs a shortest word of minimal height and a range function matching
-    one of the three affine templates at the sample lengths, the same one
-    for every top-level branch: a branch whose width grows with the span
+    Needs a shortest word of minimal height and a range function following
+    one of the three affine templates at every length, the same one for
+    every top-level branch: a branch whose width grows with the span
     next to a fixed branch that is wider at small spans breaks the form.
     """
     cands = minimal_words(spec)
@@ -300,8 +294,8 @@ def width_sum(
 ) -> PropertyCheck:
     """Shared variables between packed patterns are all trimmed away.
 
-    Overlap must not exceed a + b; a full-range pattern (range n - 1 at
-    the samples) must be the plain one-letter strict case.
+    Overlap must not exceed a + b; a full-range pattern (range n - 1 from
+    width + 2 on) must be the plain one-letter strict case.
     """
     prop = "width-sum"
     o_cv = chars.overlap(spec, d, cap)

@@ -218,43 +218,6 @@ def word_height(word: str) -> int:
     return best
 
 
-def iter_supporting_series(word: str, d: Domain) -> Iterator[TimeSeries]:
-    """Series over ``d`` whose signature is ``word``, in lexicographic order."""
-    check_word(word)
-    n = len(word) + 1
-
-    def rec(prefix: list[int]) -> Iterator[TimeSeries]:
-        k = len(prefix)
-        if k == n:
-            yield TimeSeries(tuple(prefix))
-            return
-        if k == 0:
-            lo, hi = d.lo, d.hi
-        else:
-            ch = word[k - 1]
-            last = prefix[-1]
-            if ch == LT:
-                lo, hi = last + 1, d.hi
-            elif ch == GT:
-                lo, hi = d.lo, last - 1
-            else:
-                lo = hi = last
-        for v in range(lo, hi + 1):
-            prefix.append(v)
-            yield from rec(prefix)
-            prefix.pop()
-
-    yield from rec([])
-
-
-def supporting_series(word: str, d: Domain) -> list[TimeSeries]:
-    """All series over ``d`` with the given signature.
-
-    Empty exactly when the word's height exceeds the domain span.
-    """
-    return list(iter_supporting_series(word, d))
-
-
 def _least_support(word: str, d: Domain) -> Optional[TimeSeries]:
     """The lexicographically smallest series over ``d`` with the given
     signature, or None when there is none.

@@ -30,7 +30,8 @@ words agrees with the letter order ``< , = , >`` used throughout the package;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterable, Iterator, Optional
 
 ALPHABET = "<=>"
@@ -372,7 +373,8 @@ class Automaton:
     keeps a single dead initial state.
     """
 
-    __slots__ = ("n_states", "initial", "accepting", "arcs", "_succ")
+    __slots__ = ("n_states", "initial", "accepting", "arcs", "_succ",
+                 "_lengths")
 
     def __init__(self, n_states: int, initial: int, accepting: int,
                  arcs: Arcs):
@@ -381,6 +383,7 @@ class Automaton:
         self.accepting = accepting
         self.arcs = {ch: tuple(arcs.get(ch, ())) for ch in ALPHABET}
         self._succ: dict[str, dict[int, int]] = {ch: {} for ch in ALPHABET}
+        self._lengths: Optional[tuple[int, int, int]] = None
 
     def __repr__(self) -> str:
         return (f"Automaton(states={self.n_states}, initial={self.initial:#b}, "
@@ -458,28 +461,43 @@ class Automaton:
             return False
         return bool(self._read((1 << self.n_states) - 1, word))
 
-    def lengths_up_to(self, limit: int) -> int:
-        """Bitmask of the word lengths up to ``limit``: bit k is set iff
-        the language has a word of exactly k letters.  One pass of
-        :meth:`step`, stopping once no state is reached."""
-        out, cur = 0, self.initial
-        for k in range(limit + 1):
-            if cur & self.accepting:
-                out |= 1 << k
-            cur = self.step(cur, LT) | self.step(cur, EQ) | self.step(cur, GT)
-            if not cur:
-                break
-        return out
+    def lengths(self) -> tuple[int, int, int]:
+        """The exact set of word lengths as ``(bits, start, period)``.
+
+        The state sets reached by words of k letters follow one successor
+        map, so from some ``start`` they repeat with some ``period``, and so
+        do the lengths (Chrobak, 1986); ``bits`` holds those below
+        ``start + period``.  Walked once; read it through :meth:`has_length`.
+        """
+        if self._lengths is None:
+            succ = [0] * self.n_states
+            for pairs in self.arcs.values():
+                for q, r in pairs:
+                    succ[q] |= 1 << r
+            seen, bits, cur = {}, 0, self.initial
+            while cur not in seen:
+                k = seen[cur] = len(seen)
+                if cur & self.accepting:
+                    bits |= 1 << k
+                cur = reduce(or_, map(succ.__getitem__, states_of(cur)), 0)
+            start = seen[cur]
+            self._lengths = (bits, start, len(seen) - start)
+        return self._lengths
+
+    def has_length(self, m: int) -> bool:
+        """Does the language have a word of exactly ``m`` letters?"""
+        bits, start, period = self.lengths()
+        return bool(bits >> min(m, start + (m - start) % period) & 1)
 
     def shortest_nonempty_length(self) -> Optional[int]:
         """Length of a shortest nonempty accepted word, or None.
 
-        A shortest nonempty accepting path repeats no state after its first
-        letter, since cutting out the loop would leave a shorter nonempty
-        one, so it has at most ``n_states`` letters.
+        Each length from ``start`` on recurs ``period`` letters later, so
+        the lowest nonempty length, if any, is at most ``start + period``.
         """
-        nonempty = self.lengths_up_to(self.n_states) >> 1
-        return (nonempty & -nonempty).bit_length() or None
+        _, start, period = self.lengths()
+        return next((m for m in range(1, start + period + 1)
+                     if self.has_length(m)), None)
 
     def intersect(self, other: "Automaton") -> "Automaton":
         """Product automaton for the intersection of the two languages.

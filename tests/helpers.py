@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 from functools import reduce
-from itertools import product
+from itertools import permutations, product
+from typing import Iterator
 
 from sigbounds.series import (
     Domain,
     Occurrence,
     PatternSpec,
-    iter_supporting_series,
+    TimeSeries,
     maximal_occurrences,
     word_height,
 )
 from sigbounds.sigregex import (
     ALPHABET,
+    GT,
+    LT,
     Automaton,
     Concat,
     Empty,
@@ -150,6 +153,43 @@ def naive_maximal_occurrences(spec: PatternSpec, s: str) -> list[Occurrence]:
     return out
 
 
+def iter_supporting_series(word: str, d: Domain) -> Iterator[TimeSeries]:
+    """Series over ``d`` whose signature is ``word``, in lexicographic order."""
+    check_word(word)
+    n = len(word) + 1
+
+    def rec(prefix: list[int]) -> Iterator[TimeSeries]:
+        k = len(prefix)
+        if k == n:
+            yield TimeSeries(tuple(prefix))
+            return
+        if k == 0:
+            lo, hi = d.lo, d.hi
+        else:
+            ch = word[k - 1]
+            last = prefix[-1]
+            if ch == LT:
+                lo, hi = last + 1, d.hi
+            elif ch == GT:
+                lo, hi = d.lo, last - 1
+            else:
+                lo = hi = last
+        for v in range(lo, hi + 1):
+            prefix.append(v)
+            yield from rec(prefix)
+            prefix.pop()
+
+    yield from rec([])
+
+
+def supporting_series(word: str, d: Domain) -> list[TimeSeries]:
+    """All series over ``d`` with the given signature.
+
+    Empty exactly when the word's height exceeds the domain span.
+    """
+    return list(iter_supporting_series(word, d))
+
+
 def naive_shift(spec: PatternSpec, z: str, w: str, i: int):
     """Shift of the i-th w-occurrence in z, by its definition.
 
@@ -250,6 +290,29 @@ def naive_lengths(node: Regex, k: int) -> set[int]:
         raise TypeError(f"unknown node {n!r}")
 
     return go(node)
+
+
+def raw_universe() -> list[str]:
+    """Every one-branch regex of one or two letters with at most one
+    nullable factor inserted anywhere (408 regexes)."""
+    nullable = ([a + op for a in ALPHABET for op in "*?"]
+                + [f"({a}|{b})?" for a, b in permutations(ALPHABET, 2)])
+    out = []
+    for k in (1, 2):
+        for letters in product(ALPHABET, repeat=k):
+            out.append("".join(letters))
+            out += ["".join(letters[:at]) + f + "".join(letters[at:])
+                    for f in nullable for at in range(k + 1)]
+    return out
+
+
+def naive_range(spec: PatternSpec, n: int):
+    """Least height of an accepted word of n - 1 letters, or None.
+
+    Reads the listed words of the language, with no product automaton.
+    """
+    return min((word_height(u) for u in spec.aut.words_up_to(n - 1)
+                if len(u) == n - 1), default=None)
 
 
 def naive_anchored_candidates(v: str, w: str, length: int):

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from helpers import naive_shift
+from helpers import naive_range, naive_shift, raw_universe
 from sigbounds import catalogue as cat
 from sigbounds import characteristics as ch
 from sigbounds import sigregex
@@ -100,6 +100,26 @@ class TestRange:
     def test_short_series_rejected(self):
         with pytest.raises(CharacteristicsError):
             ch.range_of(PEAK, 1)
+
+    def test_matches_the_least_height_of_listed_words(self):
+        specs = ([e.spec for e in cat.all_entries()]
+                 + [PatternSpec(e, e) for e in raw_universe()])
+        for spec in specs:
+            for n in range(2, 11):
+                want = naive_range(spec, n)
+                assert ch.range_of(spec, n) == (
+                    CharValue.undefined() if want is None
+                    else CharValue.defined(want)), (spec.name, n)
+
+    def test_long_series_need_few_products(self):
+        # the climb reads its (1, 0) template; the other has none, so h is
+        # bisected
+        misses = ch._supportable.cache_info().misses
+        assert ch.range_of(PatternSpec("climb", "<+"), 400) == \
+            CharValue.defined(399)
+        assert ch.range_of(PatternSpec("even", "(<<)*>+"), 250) == \
+            CharValue.defined(125)
+        assert ch._supportable.cache_info().misses - misses <= 20
 
     def test_affine_template(self):
         assert ch.range_params(PEAK) == (0, 0)

@@ -5,14 +5,21 @@ import itertools
 import math
 
 import pytest
+from click.testing import CliRunner
 
-from helpers import naive_anchored_candidates
+from helpers import (
+    iter_supporting_series,
+    naive_anchored_candidates,
+    raw_universe,
+    supporting_series,
+)
 from sigbounds import bounds as bd
 from sigbounds import catalogue as cat
 from sigbounds import characteristics as ch
 from sigbounds import oracle as orc
 from sigbounds.bounds import BoundResult, Side
 from sigbounds.characteristics import CharValue
+from sigbounds.cli import main
 from sigbounds.series import (
     Aggregator,
     Domain,
@@ -21,9 +28,7 @@ from sigbounds.series import (
     TimeSeries,
     _least_support,
     evaluate,
-    iter_supporting_series,
     signature,
-    supporting_series,
     word_height,
 )
 from sigbounds.sigregex import word_key
@@ -175,17 +180,8 @@ class TestRawCharacteristics:
 
     def test_raw_regexes_match_the_fast_searches(self):
         # the pruned variation and the seam-indexed overlap against every
-        # pair, on each one-branch regex of one or two letters with at most
-        # one nullable factor inserted anywhere (408 regexes)
-        nullable = ([a + op for a in "<=>" for op in "*?"]
-                    + [f"({a}|{b})?" for a, b in
-                       itertools.permutations("<=>", 2)])
-        exprs = []
-        for k in (1, 2):
-            for letters in itertools.product("<=>", repeat=k):
-                exprs.append("".join(letters))
-                exprs += ["".join(letters[:at]) + f + "".join(letters[at:])
-                          for f in nullable for at in range(k + 1)]
+        # pair, on the 408 one-branch raw regexes
+        exprs = raw_universe()
         assert len(exprs) == 408
         for e in exprs:
             spec = PatternSpec(e, e)
@@ -203,10 +199,30 @@ MIXED_BRANCHES = ("<*<<|=<", "<*>>|<", "<<*<|<=", "<?<|<<>*", "<|>*<<",
                   "=>|<<<*", ">=|>>>*", ">>*>|><")
 
 
+# one-branch raw regexes whose range follows a template at n = omega + 2
+# .. omega + 4 and leaves it further on
+TEMPLATE_LEAVERS = ("(<<)*>+", "(<=)*(<>)*<?>", "(<<)*=>+<")
+
+
 class TestSweep:
     def test_mixed_branch_raw_regexes_pass_the_default_grid(self):
         specs = [PatternSpec(e, e) for e in MIXED_BRANCHES]
         rep = orc.sharpness_report(specs)
+        assert rep.failures == []
+
+    @pytest.mark.parametrize("expr", TEMPLATE_LEAVERS)
+    def test_regexes_leaving_a_sampled_template_get_no_width_bound(
+            self, expr):
+        spec = PatternSpec(expr, expr)
+        assert ch.range_params(spec) is None
+        got = CliRunner().invoke(main, ["bound", "max_width", expr,
+                                        "--side", "upper", "--n", "6",
+                                        "--hi", "2"])
+        assert got.exit_code == 3
+        assert "width-max (range-template)" in got.output
+        width_upper = [(g, Feature.WIDTH, Side.UPPER)
+                       for g in (Aggregator.MAX, Aggregator.SUM)]
+        rep = orc.sharpness_report([spec], width_upper, range(2, 10))
         assert rep.failures == []
 
     def test_clean_cell_confirms_all_bounds(self):

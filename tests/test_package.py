@@ -1,6 +1,9 @@
 """The package's public names and its modules' imports."""
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -33,6 +36,20 @@ def _imported_names(tree: ast.Module) -> set[str]:
 
 
 class TestImports:
+    def test_importing_the_cli_compiles_no_automaton(self):
+        # module-level compiles would land on every command's start-up
+        src = os.path.dirname(os.path.dirname(sigbounds.__file__))
+        code = ("import gc, sigbounds.cli\n"
+                "from sigbounds.sigregex import Automaton\n"
+                "print(sum(isinstance(o, Automaton)"
+                " for o in gc.get_objects()))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        got = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert got.returncode == 0, got.stderr
+        assert got.stdout.strip() == "0"
+
     def test_every_imported_name_is_used(self):
         package = Path(sigbounds.__file__).parent
         for path in sorted(package.glob("*.py")):

@@ -9,7 +9,12 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
-from helpers import naive_match_spans, naive_maximal_occurrences
+from helpers import (
+    iter_supporting_series,
+    naive_match_spans,
+    naive_maximal_occurrences,
+    supporting_series,
+)
 from sigbounds import catalogue as cat
 from sigbounds import series as se
 from sigbounds.cli import main
@@ -234,20 +239,20 @@ class TestEvaluate:
 
 class TestSupportingSeries:
     def test_single_witness(self):
-        got = se.supporting_series("><", Domain(0, 1))
+        got = supporting_series("><", Domain(0, 1))
         assert got == [TimeSeries((1, 0, 1))]
 
     def test_empty_when_height_exceeds_span(self):
-        assert se.supporting_series("<<", Domain(0, 1)) == []
-        assert se.supporting_series("<<", Domain(0, 2)) != []
+        assert supporting_series("<<", Domain(0, 1)) == []
+        assert supporting_series("<<", Domain(0, 2)) != []
 
     def test_lexicographic_order(self):
-        got = se.supporting_series("<", Domain(0, 2))
+        got = supporting_series("<", Domain(0, 2))
         assert got == [TimeSeries(v) for v in
                        ((0, 1), (0, 2), (1, 2))]
 
     def test_every_result_matches_the_word(self):
-        for t in se.iter_supporting_series("<=>", Domain(0, 2)):
+        for t in iter_supporting_series("<=>", Domain(0, 2)):
             assert se.signature(t) == "<=>"
             assert t.fits(Domain(0, 2))
 

@@ -132,8 +132,10 @@ class TestAutomaton:
         assert not rich.is_factor("<")
         assert not sr.compile(sr.parse("0")).is_factor("")
 
-    def test_lengths_up_to(self):
-        assert sr.compile(sr.parse(">=+>")).lengths_up_to(5) == 0b111000
+    def test_has_length(self):
+        aut = sr.compile(sr.parse(">=+>"))
+        assert [k for k in range(20) if aut.has_length(k)] == \
+            list(range(3, 20))
 
     def test_shortest_nonempty_length(self):
         assert sr.compile(sr.parse(">=+>")).shortest_nonempty_length() == 3
@@ -212,13 +214,12 @@ class TestAgainstNaiveMatcher:
         for w in SHORT_WORDS:
             assert aut.accepts(w) == (w in members), (node, w)
         assert aut.words_up_to(3) == sorted(members, key=sr.word_key)
-        # the pumping bound and the shortest-word bound need lengths up to
-        # 2 n_states - 1 and n_states
+        # past the periodic start and period of every length set seen
+        # (at most 11); a finite language has no word of n_states letters
         n = aut.n_states
-        lengths = naive_lengths(node, max(8, 2 * n - 1))
-        for k in range(9):
-            assert aut.lengths_up_to(k) == sum(
-                1 << x for x in lengths if x <= k), (node, k)
+        lengths = naive_lengths(node, max(16, 2 * n - 1))
+        for k in range(17):
+            assert aut.has_length(k) == (k in lengths), (node, k)
         nonempty = sorted(x for x in lengths if x)
         assert aut.shortest_nonempty_length() == (
             nonempty[0] if nonempty else None), node
