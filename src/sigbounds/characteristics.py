@@ -240,7 +240,7 @@ def inducing_words(spec: PatternSpec) -> frozenset[str]:
             raise sigregex.EmptyLanguageError(
                 f"branch {idx} of {spec.name} has no nonempty word"
             )
-        words = [w for w in branch.aut.words_up_to(shortest) if w]
+        words = list(branch.aut.words(shortest))
         if len(words) != 1:
             raise AmbiguousInducingWordError(idx, words)
         out.add(words[0])

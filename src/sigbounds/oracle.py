@@ -8,14 +8,15 @@ with these; the sharpness report certifies the bound formulas against them.
 
 :func:`brute_extrema` walks every series.  The features of ``bounds.RULES``
 depend only on where the maximal occurrences lie, so the sweep walks the
-signatures of height at most the span instead, each counting for the series
-it supports, the least of them its witness.  Budgets still count series.
+signatures of height at most the span instead, each standing for the series
+it supports, the least of them its witness.  Both fold every series of the
+shape, (span + 1) ** n of them, and budgets count series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, product
+from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import bounds as bounds_mod
@@ -45,7 +46,7 @@ from .series import (
     maximal_occurrences,
     signature,
 )
-from .sigregex import GT, LT, words_of_height_at_most
+from .sigregex import bounded_height_automaton
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -77,7 +78,6 @@ class ExtremaResult:
 
     n: int
     domain: Domain
-    count: int = 0
     min_all: ExtendedInt = PLUS_INF
     max_all: ExtendedInt = MINUS_INF
     min_occ: ExtendedInt = PLUS_INF
@@ -85,12 +85,15 @@ class ExtremaResult:
     witness_min: Optional[TimeSeries] = None
     witness_max: Optional[TimeSeries] = None
 
-    def add(self, t: TimeSeries, val: ExtendedInt, has_occ: bool,
-            count: int = 1) -> None:
-        """Fold in ``count`` series of value ``val``, the least of them
-        ``t``.  A tie keeps the lexicographically smaller witness, and an
-        extreme still at its infinite start keeps none."""
-        self.count += count
+    @property
+    def count(self) -> int:
+        """The series of the shape, every one of which is folded in."""
+        return (self.domain.span + 1) ** self.n
+
+    def add(self, t: TimeSeries, val: ExtendedInt, has_occ: bool) -> None:
+        """Fold in series of value ``val``, the least of them ``t``.  A tie
+        keeps the lexicographically smaller witness, and an extreme still
+        at its infinite start keeps none."""
         tie_min = (val == self.min_all and self.witness_min is not None
                    and t.values < self.witness_min.values)
         if val < self.min_all or tie_min:
@@ -300,19 +303,6 @@ class SweepReport:
         }
 
 
-def _support_count(word: str, d: Domain) -> int:
-    """Number of series over ``d`` with the given signature: ``ways[v]``
-    counts the prefixes ending at ``d.lo + v``, and ``<`` (``>``) sums it
-    over the smaller (larger) values."""
-    ways = [1] * (d.span + 1)
-    for ch in word:
-        if ch == LT:
-            ways = [0, *accumulate(ways[:-1])]
-        elif ch == GT:
-            ways = [0, *accumulate(ways[:0:-1])][::-1]
-    return sum(ways)
-
-
 def _cell_extrema(
     spec: PatternSpec,
     n: int,
@@ -327,16 +317,15 @@ def _cell_extrema(
     for _, f in trackers:
         if f not in (Feature.ONE, Feature.WIDTH):
             raise ValueError(f"feature {f.value!r} reads series values")
-    for word in words_of_height_at_most(d.span, n - 1):
+    for word in bounded_height_automaton(d.span).words(n - 1):
         occs = maximal_occurrences(spec, word)
-        count = _support_count(word, d)
         least = _least_support(word, d)
         feats: dict[Feature, list[int]] = {}
         for (g, f), tracker in trackers.items():
             vals = feats.get(f)
             if vals is None:
                 vals = feats[f] = [feature_of(spec, f, least, o) for o in occs]
-            tracker.add(least, aggregate(g, vals), bool(occs), count)
+            tracker.add(least, aggregate(g, vals), bool(occs))
     return trackers
 
 

@@ -69,10 +69,7 @@ def minimal_words(spec: PatternSpec) -> tuple[str, ...]:
     """Shortest language words of minimal height, canonically ordered."""
     w = chars.width(spec)
     h = chars.height(spec)
-    return tuple(
-        u for u in spec.aut.words_up_to(w)
-        if len(u) == w and word_height(u) == h
-    )
+    return tuple(u for u in spec.aut.words(w) if word_height(u) == h)
 
 
 # --------------------------------------------------------------------------
@@ -203,7 +200,7 @@ def nb_overlap(
 def _carries_maximal(spec: PatternSpec, v: str, n: int, d: Domain) -> bool:
     """Some signature of length n - 1 within the domain has v maximal."""
     h = min(d.span, n - 1)
-    for s in sigregex.words_of_height_at_most(h, n - 1):
+    for s in sigregex.bounded_height_automaton(h).words(n - 1):
         for occ in maximal_occurrences(spec, s):
             if s[occ.i - 1:occ.j] == v:
                 return True
@@ -335,7 +332,7 @@ def width_occurrence(spec: PatternSpec, d: Domain) -> PropertyCheck:
 # --------------------------------------------------------------------------
 # Classification
 
-def overlap_class(spec: PatternSpec, cap: Optional[int] = None) -> str:
+def overlap_class(spec: PatternSpec) -> str:
     """Coarse behaviour class of a pattern across growing domains.
 
     special: no occurrence-free series exists on one-value domains;
@@ -348,7 +345,7 @@ def overlap_class(spec: PatternSpec, cap: Optional[int] = None) -> str:
     eta = chars.height(spec)
     try:
         o_vals = [
-            chars.overlap(spec, Domain(0, eta + k), cap).expect()
+            chars.overlap(spec, Domain(0, eta + k)).expect()
             for k in range(3)
         ]
     except chars.CharacteristicsError:

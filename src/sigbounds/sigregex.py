@@ -8,6 +8,7 @@ rest of the package queries.  The NFA has one transition table, the arcs of
 each letter, and state sets are int bitmasks; reading a word runs the subset
 construction (Rabin & Scott, 1959) lazily, one remembered (state set,
 letter) successor at a time, so no query pays for subsets it never reaches.
+Words are listed by one depth-first walk along those successors.
 
 Concrete syntax::
 
@@ -425,28 +426,33 @@ class Automaton:
         check_word(word)
         return bool(self._read(self.initial, word) & self.accepting)
 
+    def _prefixes(self, max_len: int) -> Iterator[tuple[str, int]]:
+        """Every word of at most ``max_len`` letters that reaches some
+        state, with the set it reaches, depth first in letter order.  The
+        stack holds at most three entries per letter, so memory grows with
+        ``max_len``, not with the number of words."""
+        stack = [("", self.initial)]
+        while stack:
+            word, states = stack.pop()
+            yield word, states
+            if len(word) < max_len:
+                for ch in reversed(ALPHABET):
+                    ns = self.step(states, ch)
+                    if ns:
+                        stack.append((word + ch, ns))
+
+    def words(self, length: int) -> Iterator[str]:
+        """The accepted words of exactly ``length`` letters, lazily, in
+        letter order."""
+        return (w for w, states in self._prefixes(length)
+                if len(w) == length and states & self.accepting)
+
     def words_up_to(self, max_len: int) -> list[str]:
         """All accepted words of length at most ``max_len``, in canonical
         order (length first, then letters in the order ``<``, ``=``, ``>``).
         """
-        out: list[str] = []
-        frontier: list[tuple[str, int]] = [("", self.initial)]
-        if self.initial & self.accepting:
-            out.append("")
-        for _ in range(max_len):
-            nxt: list[tuple[str, int]] = []
-            for word, states in frontier:
-                for ch in ALPHABET:
-                    ns = self.step(states, ch)
-                    if ns:
-                        w = word + ch
-                        nxt.append((w, ns))
-                        if ns & self.accepting:
-                            out.append(w)
-            frontier = nxt
-            if not frontier:
-                break
-        return out
+        return sorted((w for w, states in self._prefixes(max_len)
+                       if states & self.accepting), key=word_key)
 
     def is_factor(self, word: str) -> bool:
         """Is ``word`` a factor of some word of the language?
@@ -630,23 +636,6 @@ def bounded_height_automaton(h: int) -> Automaton:
     }
     states = (1 << (h + 1)) - 1
     return Automaton(h + 1, states, states, arcs)
-
-
-def words_of_height_at_most(h: int, length: int) -> Iterator[str]:
-    """Yield every word of the given exact length whose height is <= h,
-    in canonical letter order."""
-    aut = bounded_height_automaton(h)
-
-    def rec(prefix: str, states: int) -> Iterator[str]:
-        if len(prefix) == length:
-            yield prefix
-            return
-        for ch in ALPHABET:
-            ns = aut.step(states, ch)
-            if ns:
-                yield from rec(prefix + ch, ns)
-
-    yield from rec("", aut.initial)
 
 
 def dc_decompose(node: Regex) -> list[list[Regex]]:

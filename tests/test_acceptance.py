@@ -194,11 +194,8 @@ class TestAcceptance:
             checked = 0
             for span in range(4):
                 for n in range(2, 8):
-                    words = [
-                        w for w in
-                        sigregex.words_of_height_at_most(span, n - 1)
-                        if len(w) == n - 1
-                    ]
+                    words = list(
+                        sigregex.bounded_height_automaton(span).words(n - 1))
                     for entry in cat.all_entries():
                         spec = entry.spec
                         by_search = any(

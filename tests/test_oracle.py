@@ -11,7 +11,6 @@ from helpers import (
     iter_supporting_series,
     naive_anchored_candidates,
     raw_universe,
-    supporting_series,
 )
 from sigbounds import bounds as bd
 from sigbounds import catalogue as cat
@@ -27,6 +26,7 @@ from sigbounds.series import (
     PatternSpec,
     TimeSeries,
     _least_support,
+    enumerate_series,
     evaluate,
     signature,
     word_height,
@@ -89,9 +89,13 @@ class TestCellExtrema:
         gfs = [(g, f) for g, f, _ in orc.GF_SUPPORTED]
         grid = [(d, n) for d in (Domain(0, 1), Domain(0, 2))
                 for n in range(2, 7)]
-        grid += [(Domain(0, 3), n) for n in range(2, 6)]
+        grid += [(d, n) for d in (Domain(0, 0), Domain(0, 3), Domain(2, 4))
+                 for n in range(2, 6)]
         for d, n in grid:
             cells = orc._cell_extrema(spec, n, d, gfs)
+            # every series of the shape is folded in, whatever lo is
+            total = sum(1 for _ in enumerate_series(n, d))
+            assert {ex.count for ex in cells.values()} == {total}, (n, d)
             for g, f in gfs:
                 got = cells[(g, f)]
                 ref = orc.brute_extrema(spec, f, g, n, d)
@@ -123,12 +127,6 @@ class TestCellExtrema:
 class TestSignatureSupport:
     WORDS = ["".join(t) for k in range(7)
              for t in itertools.product("<=>", repeat=k)]
-
-    def test_count_matches_enumeration(self):
-        for d in (Domain(0, 0), Domain(0, 1), Domain(0, 2), Domain(0, 3)):
-            for w in self.WORDS:
-                assert orc._support_count(w, d) == \
-                    len(supporting_series(w, d)), (w, d)
 
     def test_least_series_matches_enumeration(self):
         for d in (Domain(0, 0), Domain(0, 1), Domain(0, 2), Domain(0, 3)):

@@ -91,3 +91,21 @@ class TestPrivateNames:
                         and named[node.name] == _named(node)[node.name]):
                     unused.append(f"{module}:{node.name}")
         assert not unused
+
+
+def test_every_public_definition_is_exported_or_used():
+    # a public definition nothing reads is dead code or a test helper
+    package = Path(sigbounds.__file__).parent
+    trees = {p.name: ast.parse(p.read_text("utf-8"))
+             for p in sorted(package.glob("*.py"))}
+    named = sum(map(_named, trees.values()), Counter())
+    unused = [
+        f"{module}:{node.name}"
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in sigbounds.__all__
+        and not (node.name.startswith("cmd_") and node.decorator_list)
+        and named[node.name] == _named(node)[node.name]
+    ]
+    assert not unused

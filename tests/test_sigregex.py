@@ -166,13 +166,18 @@ class TestBoundedHeight:
                 assert aut.accepts(w) == (word_height(w) <= h)
 
     def test_generator_matches_filter(self):
-        got = set(sr.words_of_height_at_most(1, 4))
-        want = {
-            "".join(t)
-            for t in itertools.product("<=>", repeat=4)
-            if word_height("".join(t)) <= 1
-        }
-        assert got == want
+        for h in range(4):
+            aut = sr.bounded_height_automaton(h)
+            for k in range(7):
+                want = ["".join(t) for t in itertools.product("<=>", repeat=k)
+                        if word_height("".join(t)) <= h]
+                assert list(aut.words(k)) == want, (h, k)
+
+    def test_words_are_listed_lazily(self):
+        # H_1 has billions of words of 30 letters: too many to list first
+        it = sr.bounded_height_automaton(1).words(30)
+        assert iter(it) is it
+        assert next(it) == "<" + "=" * 29
 
 
 class TestDisjunctionDecomposition:
