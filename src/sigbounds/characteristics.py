@@ -11,14 +11,17 @@ variation measures how the maxima of glued patterns must differ.
 
 Overlap and variation quantify over all pairs of language words, so they are
 computed under a length cap with a stability probe: a value is reported as
-settled only if enlarging the cap does not change it.  Both read the domain
-only through its span, so each is computed once per (pattern, span, cap)
-and cached, like the plain language measures.
+settled only if enlarging the cap does not change it.  The overlap never
+meets a word pair: it decides each seam length on classes of words, the
+automaton states a word reaches or accepts from and its runs of climbs and
+drops.  Both read the domain only through its span, so each is computed
+once per (pattern, span, cap) and cached, like the plain language measures.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -270,12 +273,6 @@ def _checked_cap(spec: PatternSpec, cap: Optional[int]) -> int:
     return cap
 
 
-@lru_cache(maxsize=None)
-def language_words(spec: PatternSpec, cap: int) -> tuple[str, ...]:
-    """Accepted words of length at most cap, canonically ordered."""
-    return tuple(spec.aut.words_up_to(cap))
-
-
 def superpositions(spec: PatternSpec, v: str, w: str, d: Domain) -> list[str]:
     """Words gluing an occurrence of v to a following occurrence of w.
 
@@ -324,35 +321,45 @@ def overlap_of_words(spec: PatternSpec, v: str, w: str, d: Domain) -> int:
 def _max_overlap(spec: PatternSpec, span: int, cap: int) -> int:
     """Maximum of overlap_of_words over all word pairs up to the cap.
 
-    Searches seam lengths from long to short, down to the empty seam of
-    plain concatenation: overlap k + 1 needs some v ending with the
-    k-letter block some w starts with, such that the overlay leaves the
-    language and stays supportable.  The first seam length that admits a
-    witness gives the maximum.
+    Overlap k + 1 needs words v, w with v ending in the k letters w starts
+    with, such that v + w[k:] leaves the language and stays supportable.
+    Each seam is decided on classes: v by the states it reaches and the
+    climbs (drops) of its longest suffix free of ``>`` (``<``), a rest
+    r = w[k:] by the states it accepts from (read backwards on the
+    reversal) and the same counts on its leading runs.  v + r leaves the
+    language iff the two sets are disjoint; its height is the largest of
+    those of v and r and of the two sums.
     """
     if span < height(spec):
         return 0
-    words = [u for u in language_words(spec, cap) if u]
-    if not words:
-        return 0
-    aut = spec.aut
-    # a gluing v + w[k:] resumes from the states reached after v
-    after = {u: aut._read(aut.initial, u) for u in words}
-    longest = max(len(u) for u in words)
-    for k in range(min(cap, longest), -1, -1):
-        by_suffix: dict[str, list[str]] = {}
-        by_prefix: dict[str, list[str]] = {}
-        for u in words:
-            if len(u) >= k:
-                by_suffix.setdefault(u[len(u) - k:], []).append(u)
-                by_prefix.setdefault(u[:k], []).append(u)
-        for seam in sorted(set(by_suffix) & set(by_prefix)):
-            for v in by_suffix[seam]:
-                for w in by_prefix[seam]:
-                    if aut._read(after[v], w[k:]) & aut.accepting:
-                        continue
-                    if word_height(v + w[k:]) <= span:
-                        return k + 1
+    aut, back = spec.aut, spec.aut.reversal()
+    lefts, rights = defaultdict(set), defaultdict(set)
+    for w, after in aut._prefixes(cap):
+        if not (w and after & aut.accepting):
+            continue
+        # rests w[k:] from one letter up, as the empty one leaves v in L
+        co, climbs, drops = back.initial, 0, 0
+        for k in range(len(w) - 1, -1, -1):
+            letter = w[k]
+            if letter == LT:
+                climbs, drops = climbs + 1, 0
+            elif letter == GT:
+                climbs, drops = 0, drops + 1
+            if max(climbs, drops) > span:
+                break
+            co = back.step(co, letter)
+            rights[w[:k]].add((co, climbs, drops))
+        else:
+            left = (after, w.rpartition(GT)[2].count(LT),
+                    w.rpartition(LT)[2].count(GT))
+            for k in range(len(w) + 1):
+                lefts[w[len(w) - k:]].add(left)
+    for seam in sorted(lefts.keys() & rights.keys(), key=len, reverse=True):
+        for after, climbs, drops in lefts[seam]:
+            for co, lead_climbs, lead_drops in rights[seam]:
+                if (not after & co and climbs + lead_climbs <= span
+                        and drops + lead_drops <= span):
+                    return len(seam) + 1
     return 0
 
 
@@ -480,7 +487,7 @@ def _variation_at(spec: PatternSpec, span: int, cap: int) -> Optional[int]:
     if _max_overlap(spec, span, cap) == 0:
         return 0
     d = Domain(0, span)
-    words = [u for u in language_words(spec, cap) if u]
+    words = [u for u in spec.aut.words_up_to(cap) if u]
     no_gt = [u for u in words if GT not in u]
     no_lt = [u for u in words if LT not in u]
     vals: list[int] = []

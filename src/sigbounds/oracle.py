@@ -2,15 +2,18 @@
 
 Everything here recomputes results by enumeration: extrema of constraint
 results over every series of a given shape, and overlap and variation
-recomputed pair by pair from ``characteristics``' definitions, without the
-seam index or pruning.  The bounded searches in the main modules must agree
-with these; the sharpness report certifies the bound formulas against them.
+recomputed pair by pair from ``characteristics``' definitions, without
+state classes or pruning.  The bounded searches in the main modules must
+agree with these; the sharpness report certifies the bound formulas against
+them.
 
 :func:`brute_extrema` walks every series.  The features of ``bounds.RULES``
 depend only on where the maximal occurrences lie, so the sweep walks the
 signatures of height at most the span instead, each standing for the series
-it supports, the least of them its witness.  Both fold every series of the
-shape, (span + 1) ** n of them, and budgets count series.
+it supports, the least of them its witness, and reads each walked word
+backwards so that one occurrence scan serves every word below a node.
+Both fold every series of the shape, (span + 1) ** n of them, and budgets
+count series.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .characteristics import (
 from .series import (
     Aggregator,
     Domain,
+    EmptyPatternError,
     ExtendedInt,
     Feature,
     MINUS_INF,
@@ -46,7 +50,7 @@ from .series import (
     maximal_occurrences,
     signature,
 )
-from .sigregex import bounded_height_automaton
+from .sigregex import bounded_height_automaton, states_of
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -90,10 +94,12 @@ class ExtremaResult:
         """The series of the shape, every one of which is folded in."""
         return (self.domain.span + 1) ** self.n
 
-    def add(self, t: TimeSeries, val: ExtendedInt, has_occ: bool) -> None:
+    def add(self, t: Optional[TimeSeries], val: ExtendedInt,
+            has_occ: bool) -> None:
         """Fold in series of value ``val``, the least of them ``t``.  A tie
         keeps the lexicographically smaller witness, and an extreme still
-        at its infinite start keeps none."""
+        at its infinite start keeps none, so ``t`` is read only when
+        ``val`` is at or past an extreme."""
         tie_min = (val == self.min_all and self.witness_min is not None
                    and t.values < self.witness_min.values)
         if val < self.min_all or tie_min:
@@ -312,20 +318,49 @@ def _cell_extrema(
     """What :func:`brute_extrema` gives for several aggregator/feature
     pairs, from one pass over the signatures of height at most the span.
     The features must be positional, so one value serves every series
-    that supports a signature."""
+    that supports a signature.  A walked word stands for its reversal
+    (H_span is closed under it), so a walk step is a step of the backward
+    scan of :func:`maximal_occurrences`, kept per depth: ends count the
+    letters after them (``n`` for none), and a chain holds the maximal
+    occurrences so far as (letters after the end, letters)."""
     trackers = {gf: ExtremaResult(n, d) for gf in set(gfs)}
     for _, f in trackers:
         if f not in (Feature.ONE, Feature.WIDTH):
             raise ValueError(f"feature {f.value!r} reads series values")
-    for word in bounded_height_automaton(d.span).words(n - 1):
-        occs = maximal_occurrences(spec, word)
-        least = _least_support(word, d)
-        feats: dict[Feature, list[int]] = {}
+    aut, trim = spec.aut, 1 - spec.a - spec.b
+    initial = list(states_of(aut.initial))
+    # the scan row at each depth before its letter: empty runs end at once
+    blank = [[k if aut.accepting >> q & 1 else n for q in range(aut.n_states)]
+             for k in range(n)]
+    fars, chains = blank[:], [()] * n
+    for word, _ in bounded_height_automaton(d.span)._prefixes(n - 1):
+        depth = len(word)
+        if depth:
+            far, nxt = fars[depth - 1], blank[depth][:]
+            for q, r in aut.arcs[word[-1]]:
+                if far[r] < nxt[q]:
+                    nxt[q] = far[r]
+            after = min(map(nxt.__getitem__, initial))
+            chain = chains[depth - 1]
+            if after < depth:
+                # the new start's match covers each later one ending no further
+                chain = ((after, depth - after),) + tuple(
+                    o for o in chain if o[0] < after)
+            fars[depth], chains[depth] = nxt, chain
+        if depth < n - 1:
+            continue
+        chain = chains[depth]
+        widths = [letters + trim for _, letters in chain]
+        if widths and min(widths) < 1:
+            raise EmptyPatternError(f"an occurrence of {spec.name} in "
+                                    f"{word[::-1]!r} trims to nothing")
+        feats = {Feature.ONE: [1] * len(chain), Feature.WIDTH: widths}
+        least = None
         for (g, f), tracker in trackers.items():
-            vals = feats.get(f)
-            if vals is None:
-                vals = feats[f] = [feature_of(spec, f, least, o) for o in occs]
-            tracker.add(least, aggregate(g, vals), bool(occs))
+            val = aggregate(g, feats[f])
+            if least is None and not tracker.min_all < val < tracker.max_all:
+                least = _least_support(word[::-1], d)
+            tracker.add(least, val, bool(chain))
     return trackers
 
 

@@ -375,7 +375,7 @@ class Automaton:
     """
 
     __slots__ = ("n_states", "initial", "accepting", "arcs", "_succ",
-                 "_lengths")
+                 "_lengths", "_reversal")
 
     def __init__(self, n_states: int, initial: int, accepting: int,
                  arcs: Arcs):
@@ -385,6 +385,7 @@ class Automaton:
         self.arcs = {ch: tuple(arcs.get(ch, ())) for ch in ALPHABET}
         self._succ: dict[str, dict[int, int]] = {ch: {} for ch in ALPHABET}
         self._lengths: Optional[tuple[int, int, int]] = None
+        self._reversal: Optional[Automaton] = None
 
     def __repr__(self) -> str:
         return (f"Automaton(states={self.n_states}, initial={self.initial:#b}, "
@@ -440,6 +441,16 @@ class Automaton:
                     ns = self.step(states, ch)
                     if ns:
                         stack.append((word + ch, ns))
+
+    def reversal(self) -> "Automaton":
+        """The automaton of the reversed words, built on first use and kept:
+        initial and accepting swapped, every arc turned round."""
+        if self._reversal is None:
+            self._reversal = Automaton(
+                self.n_states, self.accepting, self.initial,
+                {ch: tuple((r, q) for q, r in pairs)
+                 for ch, pairs in self.arcs.items()})
+        return self._reversal
 
     def words(self, length: int) -> Iterator[str]:
         """The accepted words of exactly ``length`` letters, lazily, in
@@ -498,12 +509,16 @@ class Automaton:
     def shortest_nonempty_length(self) -> Optional[int]:
         """Length of a shortest nonempty accepted word, or None.
 
-        Each length from ``start`` on recurs ``period`` letters later, so
-        the lowest nonempty length, if any, is at most ``start + period``.
+        A shortest nonempty accepting path repeats no state after its first
+        arc, so it has at most ``n_states`` letters: far fewer steps than
+        the period :meth:`lengths` walks.
         """
-        _, start, period = self.lengths()
-        return next((m for m in range(1, start + period + 1)
-                     if self.has_length(m)), None)
+        cur = self.initial
+        for m in range(1, self.n_states + 1):
+            cur = reduce(or_, (self.step(cur, ch) for ch in ALPHABET))
+            if cur & self.accepting:
+                return m
+        return None
 
     def intersect(self, other: "Automaton") -> "Automaton":
         """Product automaton for the intersection of the two languages.

@@ -9,6 +9,7 @@ inventory.  Each test prints one PASS/FAIL line to the real stdout so the
 verdicts stay visible under output capture.
 """
 
+import hashlib
 import itertools
 import json
 import time
@@ -38,6 +39,10 @@ from sigbounds.series import (
     word_height,
 )
 
+
+# sha256 of the JSON rows of the default-grid sweep over the catalogue
+ROWS_SHA256 = (
+    "caec45a2eaf1d18e269c5a8cdaf644dcdbafb5a7016ef1783dbdbc4f4d0b754a")
 
 FIGURE = TimeSeries((4, 4, 0, 0, 2, 4, 4, 7, 4, 0, 0, 2, 2, 2, 2, 2, 2, 0))
 
@@ -113,6 +118,9 @@ class TestAcceptance:
             # every skip names the rule that refused, nothing else
             kinds = {r.skip.split(":")[0] for r in rep.skips}
             assert kinds == {"PropertyMissingError", "NotApplicableError"}
+            # every row, witnesses included, byte for byte
+            rows = json.dumps(rep.to_json()["rows"]).encode()
+            assert hashlib.sha256(rows).hexdigest() == ROWS_SHA256
             elapsed = time.time() - t0
             assert elapsed < 600
             s = rep.summary()

@@ -229,7 +229,7 @@ class TestShift:
         positive = 0
         for entry in cat.all_entries():
             spec = entry.spec
-            for w in ch.language_words(spec, 3):
+            for w in spec.aut.words_up_to(3):
                 if not w:
                     continue
                 for z in zs:

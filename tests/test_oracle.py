@@ -3,6 +3,7 @@ the sweep that certifies every closed-form bound against enumeration."""
 
 import itertools
 import math
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -22,6 +23,7 @@ from sigbounds.cli import main
 from sigbounds.series import (
     Aggregator,
     Domain,
+    EmptyPatternError,
     Feature,
     PatternSpec,
     TimeSeries,
@@ -81,11 +83,14 @@ class TestBruteExtrema:
         assert orc.check_budget(10, Domain(0, 1)) == 1024
 
 
+def _two_branch_unions(seed: int, k: int) -> list[str]:
+    rng, exprs = random.Random(seed), raw_universe()
+    return ["|".join(rng.sample(exprs, 2)) for _ in range(k)]
+
+
 class TestCellExtrema:
-    @pytest.mark.parametrize("name", ["peak", "zigzag", "decreasing_terrace",
-                                      "steady_sequence"])
-    def test_signature_memo_matches_brute_force(self, name):
-        spec = cat.lookup(name).spec
+    @staticmethod
+    def _check_against_brute_force(spec):
         gfs = [(g, f) for g, f, _ in orc.GF_SUPPORTED]
         grid = [(d, n) for d in (Domain(0, 1), Domain(0, 2))
                 for n in range(2, 7)]
@@ -100,7 +105,26 @@ class TestCellExtrema:
                 got = cells[(g, f)]
                 ref = orc.brute_extrema(spec, f, g, n, d)
                 assert _extrema_fields(got) == _extrema_fields(ref), \
-                    (name, g, f, n, d)
+                    (spec.name, g, f, n, d)
+
+    @pytest.mark.parametrize("name", [e.name for e in cat.all_entries()])
+    def test_signature_memo_matches_brute_force(self, name):
+        self._check_against_brute_force(cat.lookup(name).spec)
+
+    @pytest.mark.parametrize(
+        "expr", random.Random(3).sample(raw_universe(), 8)
+        + _two_branch_unions(4, 4))
+    def test_raw_regexes_match_brute_force(self, expr):
+        self._check_against_brute_force(PatternSpec(expr, expr))
+
+    def test_an_occurrence_trimmed_to_nothing_is_refused(self):
+        lone = PatternSpec("lone", "<", a=1, b=1)
+        with pytest.raises(EmptyPatternError, match="trims to nothing"):
+            orc._cell_extrema(lone, 4, Domain(0, 1),
+                              [(Aggregator.SUM, Feature.ONE)])
+        with pytest.raises(EmptyPatternError, match="trims to nothing"):
+            orc.brute_extrema(lone, Feature.ONE, Aggregator.SUM, 4,
+                              Domain(0, 1))
 
     def test_an_extreme_still_infinite_keeps_no_witness(self):
         # no series of two values holds a peak, so every min_width is the
@@ -172,12 +196,24 @@ class TestRawCharacteristics:
                     got = ch.superpositions(spec, v, w, Domain(0, span))
                     assert got == want, (entry.name, v, w, span)
 
+    def test_class_overlap_matches_pair_by_pair(self):
+        # seams decided on state classes against every word pair, at the
+        # least cap and the default one
+        exprs = raw_universe() + _two_branch_unions(5, 150)
+        for e in exprs:
+            spec = PatternSpec(e, e)
+            for span in (1, 2, 3):
+                d = Domain(0, span)
+                for cap in (max(0, ch.width(spec) - 2), None):
+                    assert ch.overlap(spec, d, cap) == \
+                        orc.brute_overlap(spec, d, cap), (e, span, cap)
+
     def test_budget_applies_to_gluing_search(self):
         with pytest.raises(orc.BudgetExceededError):
             orc.brute_overlap(PEAK, Domain(0, 1), budget=5)
 
     def test_raw_regexes_match_the_fast_searches(self):
-        # the pruned variation and the seam-indexed overlap against every
+        # the pruned variation and the class-decided overlap against every
         # pair, on the 408 one-branch raw regexes
         exprs = raw_universe()
         assert len(exprs) == 408

@@ -15,6 +15,7 @@ from helpers import (
     naive_matches,
     naive_maximal_occurrences,
 )
+from sigbounds import characteristics as ch
 from sigbounds import properties as pr
 from sigbounds import sigregex as sr
 from sigbounds.series import PatternSpec, maximal_occurrences, word_height
@@ -143,6 +144,14 @@ class TestAutomaton:
         # the empty word does not count
         assert sr.compile(sr.parse("<*")).shortest_nonempty_length() == 1
 
+    def test_shortest_length_walks_no_period(self):
+        # unary cycles of prime lengths up to 17 give a length period of
+        # 510,510; a shortest word needs at most one step per state
+        spec = PatternSpec("primes", "|".join(
+            f"({'<' * p})*" for p in (2, 3, 5, 7, 11, 13, 17)))
+        assert ch.width(spec) == 2
+        assert spec.aut._lengths is None
+
     def test_intersect_is_language_intersection(self):
         a = sr.compile(sr.parse("<(<|=)*"))
         b = sr.compile(sr.parse("(<|>)(<|>)*"))
@@ -172,6 +181,14 @@ class TestBoundedHeight:
                 want = ["".join(t) for t in itertools.product("<=>", repeat=k)
                         if word_height("".join(t)) <= h]
                 assert list(aut.words(k)) == want, (h, k)
+
+    def test_words_are_closed_under_reversal(self):
+        # the certification sweep reads each listed word backwards
+        for h in range(4):
+            aut = sr.bounded_height_automaton(h)
+            for m in range(8):
+                words = set(aut.words(m))
+                assert {w[::-1] for w in words} == words, (h, m)
 
     def test_words_are_listed_lazily(self):
         # H_1 has billions of words of 30 letters: too many to list first
