@@ -364,6 +364,8 @@ def cmd_verify(names: tuple[str, ...], run_all: bool,
         )
         if budget is None:
             budget = int(os.environ.get(BUDGET_ENV, DEFAULT_BUDGET))
+        if budget < 0:
+            raise ValueError(f"budget must be nonnegative, got {budget}")
     except _INPUT_ERRORS as exc:
         _fail(2, str(exc))
     try:

@@ -8,19 +8,20 @@ agree with these; the sharpness report certifies the bound formulas against
 them.
 
 :func:`brute_extrema` walks every series.  The features of ``bounds.RULES``
-depend only on where the maximal occurrences lie, so the sweep walks the
-signatures of height at most the span instead, each standing for the series
-it supports, the least of them its witness, and reads each walked word
-backwards so that one occurrence scan serves every word below a node.
-Both fold every series of the shape, (span + 1) ** n of them, and budgets
-count series.
+depend only on where the maximal occurrences lie, so the sweep folds the
+values of the signatures of height at most the span instead, each standing
+for the series it supports, from the walk of
+``series._reversed_signatures``.  Only a failing row walks its cell again,
+for the least series supporting a signature of the violated extreme.  Both
+fold every series of the shape, (span + 1) ** n of them, and budgets count
+series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import bounds as bounds_mod
 from .bounds import BoundError, BoundResult, Side
@@ -44,13 +45,14 @@ from .series import (
     PatternSpec,
     TimeSeries,
     _least_support,
+    _reversed_signatures,
     aggregate,
     enumerate_series,
+    ext_to_json,
     feature_of,
     maximal_occurrences,
     signature,
 )
-from .sigregex import bounded_height_automaton, states_of
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -65,6 +67,13 @@ def _spend(counter: list[int], amount: int = 1) -> None:
     counter[0] -= amount
     if counter[0] < 0:
         raise BudgetExceededError("enumeration budget exhausted")
+
+
+def _to_json(v):
+    """An optional series as its text, an optional number JSON-safe."""
+    if isinstance(v, TimeSeries):
+        return str(v)
+    return None if v is None else ext_to_json(v)
 
 
 # --------------------------------------------------------------------------
@@ -96,27 +105,19 @@ class ExtremaResult:
 
     def add(self, t: Optional[TimeSeries], val: ExtendedInt,
             has_occ: bool) -> None:
-        """Fold in series of value ``val``, the least of them ``t``.  A tie
-        keeps the lexicographically smaller witness, and an extreme still
-        at its infinite start keeps none, so ``t`` is read only when
-        ``val`` is at or past an extreme."""
-        tie_min = (val == self.min_all and self.witness_min is not None
-                   and t.values < self.witness_min.values)
-        if val < self.min_all or tie_min:
-            self.min_all = val
-            self.witness_min = t
-        tie_max = (val == self.max_all and self.witness_max is not None
-                   and t.values < self.witness_max.values)
-        if val > self.max_all or tie_max:
-            self.max_all = val
-            self.witness_max = t
+        """Fold in series ``t`` of value ``val``.  The first series to
+        reach an extreme is its witness, and an extreme still at its
+        infinite start has none.  The sweep folds values only, ``t`` None,
+        and searches a witness only for a row whose bound fails."""
+        if val < self.min_all:
+            self.min_all, self.witness_min = val, t
+        if val > self.max_all:
+            self.max_all, self.witness_max = val, t
         if has_occ:
             self.min_occ = min(self.min_occ, val)
             self.max_occ = max(self.max_occ, val)
 
     def to_json(self):
-        from .series import ext_to_json
-
         return {
             "n": self.n,
             "domain": str(self.domain),
@@ -125,12 +126,8 @@ class ExtremaResult:
             "max_all": ext_to_json(self.max_all),
             "min_occ": ext_to_json(self.min_occ),
             "max_occ": ext_to_json(self.max_occ),
-            "witness_min": (
-                None if self.witness_min is None else str(self.witness_min)
-            ),
-            "witness_max": (
-                None if self.witness_max is None else str(self.witness_max)
-            ),
+            "witness_min": _to_json(self.witness_min),
+            "witness_max": _to_json(self.witness_max),
         }
 
 
@@ -247,11 +244,6 @@ class SweepRow:
         return self.sharp_claimed and self.attained is False
 
     def to_json(self):
-        from .series import ext_to_json
-
-        def opt(v):
-            return None if v is None else ext_to_json(v)
-
         return {
             "pattern": self.pattern,
             "g": self.g.value,
@@ -259,18 +251,15 @@ class SweepRow:
             "side": self.side.value,
             "n": self.n,
             "domain": str(self.domain),
-            "bound": opt(self.bound),
+            "bound": _to_json(self.bound),
             "sharp_claimed": self.sharp_claimed,
             "source": self.source,
-            "brute_min": opt(self.brute_min),
-            "brute_max": opt(self.brute_max),
+            "brute_min": _to_json(self.brute_min),
+            "brute_max": _to_json(self.brute_max),
             "valid": self.valid,
             "attained": self.attained,
             "skip": self.skip,
-            "counterexample": (
-                None if self.counterexample is None
-                else str(self.counterexample)
-            ),
+            "counterexample": _to_json(self.counterexample),
         }
 
 
@@ -309,6 +298,19 @@ class SweepReport:
         }
 
 
+def _cell_values(spec: PatternSpec, n: int, d: Domain
+                 ) -> Iterator[tuple[str, dict[Feature, list[int]]]]:
+    """Each signature of a series of length ``n`` over ``d``, reversed,
+    with the positional feature values of its maximal occurrences."""
+    trim = 1 - spec.a - spec.b
+    for word, chain in _reversed_signatures(spec, n - 1, d.span):
+        widths = [letters + trim for _, letters in chain]
+        if widths and min(widths) < 1:
+            raise EmptyPatternError(f"an occurrence of {spec.name} in "
+                                    f"{word[::-1]!r} trims to nothing")
+        yield word, {Feature.ONE: [1] * len(chain), Feature.WIDTH: widths}
+
+
 def _cell_extrema(
     spec: PatternSpec,
     n: int,
@@ -316,52 +318,29 @@ def _cell_extrema(
     gfs: Iterable[tuple[Aggregator, Feature]],
 ) -> dict[tuple[Aggregator, Feature], ExtremaResult]:
     """What :func:`brute_extrema` gives for several aggregator/feature
-    pairs, from one pass over the signatures of height at most the span.
-    The features must be positional, so one value serves every series
-    that supports a signature.  A walked word stands for its reversal
-    (H_span is closed under it), so a walk step is a step of the backward
-    scan of :func:`maximal_occurrences`, kept per depth: ends count the
-    letters after them (``n`` for none), and a chain holds the maximal
-    occurrences so far as (letters after the end, letters)."""
+    pairs, witnesses aside, from one pass over the signatures of height at
+    most the span.  The features must be positional, so one value serves
+    every series that supports a signature."""
     trackers = {gf: ExtremaResult(n, d) for gf in set(gfs)}
     for _, f in trackers:
         if f not in (Feature.ONE, Feature.WIDTH):
             raise ValueError(f"feature {f.value!r} reads series values")
-    aut, trim = spec.aut, 1 - spec.a - spec.b
-    initial = list(states_of(aut.initial))
-    # the scan row at each depth before its letter: empty runs end at once
-    blank = [[k if aut.accepting >> q & 1 else n for q in range(aut.n_states)]
-             for k in range(n)]
-    fars, chains = blank[:], [()] * n
-    for word, _ in bounded_height_automaton(d.span)._prefixes(n - 1):
-        depth = len(word)
-        if depth:
-            far, nxt = fars[depth - 1], blank[depth][:]
-            for q, r in aut.arcs[word[-1]]:
-                if far[r] < nxt[q]:
-                    nxt[q] = far[r]
-            after = min(map(nxt.__getitem__, initial))
-            chain = chains[depth - 1]
-            if after < depth:
-                # the new start's match covers each later one ending no further
-                chain = ((after, depth - after),) + tuple(
-                    o for o in chain if o[0] < after)
-            fars[depth], chains[depth] = nxt, chain
-        if depth < n - 1:
-            continue
-        chain = chains[depth]
-        widths = [letters + trim for _, letters in chain]
-        if widths and min(widths) < 1:
-            raise EmptyPatternError(f"an occurrence of {spec.name} in "
-                                    f"{word[::-1]!r} trims to nothing")
-        feats = {Feature.ONE: [1] * len(chain), Feature.WIDTH: widths}
-        least = None
+    for _, feats in _cell_values(spec, n, d):
         for (g, f), tracker in trackers.items():
-            val = aggregate(g, feats[f])
-            if least is None and not tracker.min_all < val < tracker.max_all:
-                least = _least_support(word[::-1], d)
-            tracker.add(least, val, bool(chain))
+            tracker.add(None, aggregate(g, feats[f]), bool(feats[f]))
     return trackers
+
+
+def _counterexample(spec: PatternSpec, n: int, d: Domain, g: Aggregator,
+                    f: Feature, extreme: ExtendedInt) -> TimeSeries:
+    """:func:`brute_extrema`'s witness of ``extreme``, the first series of
+    that value in lexicographic order: each series lies pointwise above
+    the least series supporting its signature, so it is the least of
+    those over the signatures of that value."""
+    return min((_least_support(word[::-1], d)
+                for word, feats in _cell_values(spec, n, d)
+                if aggregate(g, feats[f]) == extreme),
+               key=lambda t: t.values)
 
 
 def sharpness_report(
@@ -406,14 +385,13 @@ def sharpness_report(
                 for (g, f, side), br in got.items():
                     ex = cells[(g, f)]
                     if side is Side.UPPER:
-                        valid = ex.max_all <= br.value
-                        attained = ex.max_all == br.value
-                        witness = ex.witness_max
+                        extreme = ref = ex.max_all
+                        valid = extreme <= br.value
                     else:
-                        valid = br.value <= ex.min_all
-                        ref = ex.min_occ if f is Feature.WIDTH else ex.min_all
-                        attained = ref == br.value
-                        witness = ex.witness_min
+                        extreme = ex.min_all
+                        valid = br.value <= extreme
+                        ref = ex.min_occ if f is Feature.WIDTH else extreme
+                    attained = ref == br.value
                     report.rows.append(SweepRow(
                         spec.name, g, f, side, n, d,
                         bound=br.value,
@@ -423,6 +401,7 @@ def sharpness_report(
                         brute_max=ex.max_all,
                         valid=valid,
                         attained=attained,
-                        counterexample=None if valid else witness,
+                        counterexample=None if valid else
+                        _counterexample(spec, n, d, g, f, extreme),
                     ))
     return report

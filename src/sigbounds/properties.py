@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import characteristics as chars
 from . import sigregex
-from .series import Domain, PatternSpec, maximal_occurrences, word_height
+from .series import Domain, PatternSpec, _reversed_signatures, word_height
 from .sigregex import EQ, GT, LT
 
 
@@ -164,47 +164,36 @@ def nb_overlap(
         if _NB_OVERLAP_RANK[cond] > _NB_OVERLAP_RANK[deepest]:
             deepest = cond
 
+    def glued(first: str, second: str, check: bool) -> Optional[str]:
+        for z in chars.superpositions(spec, first, second, d):
+            bad = _glue_failure(spec, z, first, second, o, delta, eta, check)
+            if bad is None:
+                return z
+            note(bad)
+        return None
+
+    grow = LT if delta > 0 else GT
     for v, w in product(cands, cands):
-        if delta > 0 and (
-            spec.aut.is_factor(v + LT) or spec.aut.is_factor(w + LT)
-        ):
-            note("strict-letter-guard")
-            continue
-        if delta < 0 and (
-            spec.aut.is_factor(v + GT) or spec.aut.is_factor(w + GT)
-        ):
+        if delta and any(spec.aut.is_factor(u + grow) for u in (v, w)):
             note("strict-letter-guard")
             continue
         note("superposition-exists")
-        z1_hit = None
-        for z in chars.superpositions(spec, v, w, d):
-            bad = _glue_failure(spec, z, v, w, o, delta, eta, True)
-            if bad is None:
-                z1_hit = z
-                break
-            note(bad)
-        if z1_hit is None:
-            continue
-        for z in chars.superpositions(spec, w, v, d):
-            bad = _glue_failure(spec, z, w, v, o, delta, eta, v != w)
-            if bad is None:
-                return PropertyCheck(
-                    prop, True,
-                    {"v": v, "w": w, "z1": z1_hit, "z2": z,
-                     "overlap": o, "variation": delta},
-                )
-            note(bad)
+        z1 = glued(v, w, True)
+        z2 = None if z1 is None else glued(w, v, v != w)
+        if z2 is not None:
+            return PropertyCheck(
+                prop, True,
+                {"v": v, "w": w, "z1": z1, "z2": z2,
+                 "overlap": o, "variation": delta},
+            )
     return _fail(prop, deepest)
 
 
 def _carries_maximal(spec: PatternSpec, v: str, n: int, d: Domain) -> bool:
     """Some signature of length n - 1 within the domain has v maximal."""
-    h = min(d.span, n - 1)
-    for s in sigregex.bounded_height_automaton(h).words(n - 1):
-        for occ in maximal_occurrences(spec, s):
-            if s[occ.i - 1:occ.j] == v:
-                return True
-    return False
+    return any(word[after:after + letters] == v[::-1]
+               for word, chain in _reversed_signatures(spec, n - 1, d.span)
+               for after, letters in chain)
 
 
 _NO_OVERLAP_LENGTHS = 5

@@ -16,6 +16,7 @@ state sets a deterministic reading would visit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -284,6 +285,39 @@ def maximal_occurrences(spec: PatternSpec, s: str) -> list[Occurrence]:
     return out
 
 
+def _reversed_signatures(spec: PatternSpec, m: int,
+                         span: int) -> Iterator[tuple[str, tuple]]:
+    """Every signature of ``m`` letters and height at most ``span``,
+    reversed, with its maximal occurrences in signature order as (letters
+    after the end, letters).  H_span is closed under reversal, so a step of
+    its walk is a step of the backward scan of :func:`maximal_occurrences`,
+    kept per depth so that one scan serves every word below a node; ends
+    count the letters after them, ``m + 1`` for none."""
+    aut = spec.aut
+    initial = list(states_of(aut.initial))
+    # the scan row at each depth before its letter: empty runs end at once
+    blank = [[k if aut.accepting >> q & 1 else m + 1
+              for q in range(aut.n_states)] for k in range(m + 1)]
+    fars, chains = blank[:], [()] * (m + 1)
+    walk = sigregex.bounded_height_automaton(min(span, m))._prefixes(m)
+    for word, _ in walk:
+        depth = len(word)
+        if depth:
+            far, nxt = fars[depth - 1], blank[depth][:]
+            for q, r in aut.arcs[word[-1]]:
+                if far[r] < nxt[q]:
+                    nxt[q] = far[r]
+            after = min(map(nxt.__getitem__, initial))
+            chain = chains[depth - 1]
+            if after < depth:
+                # the new start's match covers each later one ending no further
+                chain = ((after, depth - after),) + tuple(
+                    o for o in chain if o[0] < after)
+            fars[depth], chains[depth] = nxt, chain
+        if depth == m:
+            yield word, chains[depth]
+
+
 def feature_of(spec: PatternSpec, f: Feature, t: TimeSeries,
                occ: Occurrence) -> int:
     """Value of one feature on one trimmed occurrence."""
@@ -335,7 +369,5 @@ def evaluate(
 
 def enumerate_series(n: int, d: Domain) -> Iterator[TimeSeries]:
     """All series of length ``n`` over ``d`` in lexicographic order."""
-    import itertools
-
     for tup in itertools.product(range(d.lo, d.hi + 1), repeat=n):
         yield TimeSeries(tup)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 from functools import reduce
 from itertools import permutations, product
 from typing import Iterator
 
+from sigbounds import bounds as bd
+from sigbounds.bounds import Side
 from sigbounds.series import (
     Domain,
     Occurrence,
@@ -26,6 +29,7 @@ from sigbounds.sigregex import (
     Regex,
     Star,
     Union,
+    bounded_height_automaton,
     check_word,
 )
 
@@ -331,3 +335,23 @@ def naive_anchored_candidates(v: str, w: str, length: int):
             z = "".join(fill) + w
             if z.startswith(v):
                 yield z
+
+
+def carries_maximal_per_word(spec: PatternSpec, v: str, n: int,
+                             d: Domain) -> bool:
+    """Some signature of n - 1 letters and height at most the span has v
+    as a maximal occurrence: every such word scanned on its own."""
+    h = min(d.span, n - 1)
+    for s in bounded_height_automaton(h).words(n - 1):
+        for occ in maximal_occurrences(spec, s):
+            if s[occ.i - 1:occ.j] == v:
+                return True
+    return False
+
+
+def off_by_one(g, f, side, spec, n, d, cap=None):
+    """``bounds.bound`` moved one step too tight: every upper bound lowered
+    by one and every lower bound raised by one."""
+    r = bd.bound(g, f, side, spec, n, d, cap)
+    step = -1 if side is Side.UPPER else 1
+    return dataclasses.replace(r, value=r.value + step)

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import sigbounds
-from helpers import height_oracle, naive_match_spans
+from helpers import height_oracle, naive_match_spans, off_by_one
 from sigbounds import bounds as bd
 from sigbounds import catalogue as cat
 from sigbounds import characteristics as ch
@@ -43,6 +43,9 @@ from sigbounds.series import (
 # sha256 of the JSON rows of the default-grid sweep over the catalogue
 ROWS_SHA256 = (
     "caec45a2eaf1d18e269c5a8cdaf644dcdbafb5a7016ef1783dbdbc4f4d0b754a")
+# the same with every bound one step too tight, counterexamples included
+OFF_BY_ONE_ROWS_SHA256 = (
+    "054b0641c0675ee2227d7ce5cd5c151240034208c744b4f4a1ea36607b8fed7d")
 
 FIGURE = TimeSeries((4, 4, 0, 0, 2, 4, 4, 7, 4, 0, 0, 2, 2, 2, 2, 2, 2, 0))
 
@@ -121,6 +124,11 @@ class TestAcceptance:
             # every row, witnesses included, byte for byte
             rows = json.dumps(rep.to_json()["rows"]).encode()
             assert hashlib.sha256(rows).hexdigest() == ROWS_SHA256
+            tight = orc.sharpness_report(
+                [entry.spec for entry in cat.all_entries()],
+                bound_fn=off_by_one)
+            rows = json.dumps(tight.to_json()["rows"]).encode()
+            assert hashlib.sha256(rows).hexdigest() == OFF_BY_ONE_ROWS_SHA256
             elapsed = time.time() - t0
             assert elapsed < 600
             s = rep.summary()

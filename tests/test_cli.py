@@ -222,6 +222,14 @@ class TestVerify:
                 env={"SIGBOUNDS_BUDGET": "10"})
         assert p.returncode == 4
 
+    def test_negative_budget_is_bad_input(self):
+        p = run("verify", "peak", "--budget", "-5")
+        assert p.returncode == 2
+        assert "budget must be nonnegative, got -5" in p.stderr
+        p = run("verify", "peak", env={"SIGBOUNDS_BUDGET": "-5"})
+        assert p.returncode == 2
+        assert "budget must be nonnegative, got -5" in p.stderr
+
     def test_budget_flag_overrides_env(self):
         p = run("verify", "peak", "--max-n", "3", "--domains", "0:1",
                 "--budget", "5000000", env={"SIGBOUNDS_BUDGET": "10"})

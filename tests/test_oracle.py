@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from helpers import (
     iter_supporting_series,
     naive_anchored_candidates,
+    off_by_one,
     raw_universe,
 )
 from sigbounds import bounds as bd
@@ -65,6 +66,14 @@ class TestBruteExtrema:
         assert (ex.min_occ, ex.max_occ) == (math.inf, -math.inf)
         assert (ex.min_all, ex.max_all) == (0, 0)
 
+    def test_an_extreme_still_infinite_keeps_no_witness(self):
+        # no series of two values holds a peak, so every min_width is the
+        # +inf default and no series attains a smaller one
+        ex = orc.brute_extrema(PEAK, Feature.WIDTH, Aggregator.MIN,
+                               2, Domain(0, 1))
+        assert ex.min_all == math.inf and ex.witness_min is None
+        assert ex.witness_max == TimeSeries((0, 0))
+
     def test_json_shape(self):
         ex = orc.brute_extrema(PEAK, Feature.WIDTH, Aggregator.MAX,
                                4, Domain(0, 1))
@@ -106,6 +115,8 @@ class TestCellExtrema:
                 ref = orc.brute_extrema(spec, f, g, n, d)
                 assert _extrema_fields(got) == _extrema_fields(ref), \
                     (spec.name, g, f, n, d)
+                # values only: a witness is searched for a failing row
+                assert got.witness_min is None and got.witness_max is None
 
     @pytest.mark.parametrize("name", [e.name for e in cat.all_entries()])
     def test_signature_memo_matches_brute_force(self, name):
@@ -125,14 +136,6 @@ class TestCellExtrema:
         with pytest.raises(EmptyPatternError, match="trims to nothing"):
             orc.brute_extrema(lone, Feature.ONE, Aggregator.SUM, 4,
                               Domain(0, 1))
-
-    def test_an_extreme_still_infinite_keeps_no_witness(self):
-        # no series of two values holds a peak, so every min_width is the
-        # +inf default and no series attains a smaller one
-        gf = (Aggregator.MIN, Feature.WIDTH)
-        got = orc._cell_extrema(PEAK, 2, Domain(0, 1), [gf])[gf]
-        assert got.min_all == math.inf and got.witness_min is None
-        assert got.witness_max == TimeSeries((0, 0))
 
     def test_value_dependent_feature_is_refused(self):
         with pytest.raises(ValueError, match="surf"):
@@ -160,8 +163,7 @@ class TestSignatureSupport:
 
 
 def _extrema_fields(ex):
-    return (ex.min_all, ex.max_all, ex.min_occ, ex.max_occ, ex.count,
-            ex.witness_min, ex.witness_max)
+    return (ex.min_all, ex.max_all, ex.min_occ, ex.max_occ, ex.count)
 
 
 class TestRawCharacteristics:
@@ -309,6 +311,29 @@ class TestSweep:
             assert row.counterexample is not None
             got = evaluate(PEAK, row.f, row.g, row.counterexample)
             assert got > row.bound
+
+    def test_counterexamples_are_the_brute_force_witnesses(self):
+        # every bound one step too tight, so each row whose extreme the
+        # bound meets fails, and its counterexample is the first series
+        # in lexicographic order that attains the violated extreme
+        specs = [e.spec for e in cat.all_entries()] + [
+            PatternSpec(e, e) for e in random.Random(3).sample(
+                raw_universe(), 8)]
+        rep = orc.sharpness_report(specs, n_range=range(2, 6),
+                                   bound_fn=off_by_one)
+        spec_of = {spec.name: spec for spec in specs}
+        invalid = [r for r in rep.rows if r.valid is False]
+        assert len(invalid) > 500
+        assert {r.side for r in invalid} == {Side.UPPER, Side.LOWER}
+        brute = {}
+        for r in invalid:
+            key = (r.pattern, r.g, r.f, r.n, r.domain)
+            if key not in brute:
+                brute[key] = orc.brute_extrema(spec_of[r.pattern], r.f, r.g,
+                                               r.n, r.domain)
+            ex = brute[key]
+            want = ex.witness_max if r.side is Side.UPPER else ex.witness_min
+            assert r.counterexample == want, r.to_json()
 
     def test_unattained_sharp_claim_is_caught(self):
         def too_high(g, f, side, spec, n, d, cap=None):

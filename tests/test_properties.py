@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import carries_maximal_per_word, raw_universe
 from sigbounds import catalogue as cat
 from sigbounds import characteristics as ch
 from sigbounds import properties as pr
@@ -130,6 +131,24 @@ class TestNbNoOverlap:
         got = pr.nb_no_overlap(PEAK, Domain(0, 1))
         assert not got.holds
         assert got.failed_condition == "overlap-nonzero"
+
+    def test_maximal_carrier_matches_a_scan_per_word(self):
+        # the shared backward walk against every signature scanned on its
+        # own, for each minimal word at the five checked lengths and more
+        specs = [e.spec for e in cat.all_entries()]
+        specs += [PatternSpec(e, e) for e in raw_universe()]
+        cases = 0
+        for spec in specs:
+            w = ch.width(spec)
+            for v in pr.minimal_words(spec):
+                for span in (1, 2, 3):
+                    d = Domain(0, span)
+                    for n in range(w + 1, w + 6):
+                        assert pr._carries_maximal(spec, v, n, d) == \
+                            carries_maximal_per_word(spec, v, n, d), \
+                            (spec.name, v, n, span)
+                        cases += 1
+        assert cases == 6300
 
 
 class TestWidthProperties:
