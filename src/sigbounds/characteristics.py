@@ -25,7 +25,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, islice, product
 from typing import Callable, Iterable, Optional
 
 from . import sigregex
@@ -181,11 +181,14 @@ def range_of(spec: PatternSpec, n: int) -> CharValue:
 
 
 def _lengths_from(aut: sigregex.Automaton, m: int, present: bool) -> bool:
-    """Whether every length from m on is present in aut, or none is: one
-    period past the periodic start covers them all."""
-    _, start, period = aut.lengths()
-    return all(aut.has_length(k) == present
-               for k in range(m, max(m, start) + period))
+    """Whether every length from m on is present in aut, or none is.  Each
+    set follows from the one before, so the walk stops at the first that
+    fails, or at a repeat, when every later length has been read."""
+    seen: set[int] = set()
+    for states in islice(aut._length_sets(), m, None):
+        if states in seen or bool(states & aut.accepting) != present:
+            return states in seen
+        seen.add(states)
 
 
 @lru_cache(maxsize=None)
@@ -425,23 +428,28 @@ def shift(spec: PatternSpec, z: str, w: str, i: int) -> Optional[int]:
         raise CharacteristicsError("occurrence index is 1-based")
     if w == z or not w:
         return None
-    occs = [o for o in maximal_occurrences(spec, z) if z[o.i - 1:o.j] == w]
-    if len(occs) < i:
-        return None
-    lo, hi = occs[i - 1].extended()
+    found = [gap for factor, gap in _shifts(spec, z) if factor == w]
+    return found[i - 1] if len(found) >= i else None
+
+
+def _shifts(spec: PatternSpec, z: str) -> list[tuple[str, int]]:
+    """Each maximal occurrence in z, in order, as its matched factor and
+    its shift, the least of the mirrored least series over its extended
+    span: one occurrence scan and one least series serve them all."""
     least = _least_support(z.translate(_MIRROR), Domain(0, word_height(z)))
-    return min(least.values[lo - 1:hi])
+    return [(z[o.i - 1:o.j], min(least.values[o.i - 1:o.j + 1]))
+            for o in maximal_occurrences(spec, z)]
 
 
 def _shift_gap(spec: PatternSpec, z: str, v: str, w: str) -> Optional[int]:
     """shift(z, v, 1) - shift(z, w, 1) on a superposition z of (v, w); for
     v == w the first two v-occurrences are compared.  None when either
-    shift is missing."""
-    sv = shift(spec, z, v, 1)
-    sw = shift(spec, z, w, 1 if v != w else 2)
-    if sv is None or sw is None:
-        return None
-    return sv - sw
+    shift is missing.  z is outside the language, so no guard of
+    :func:`shift` applies."""
+    shifts = _shifts(spec, z)
+    sv = [gap for factor, gap in shifts if factor == v]
+    sw = [gap for factor, gap in shifts if factor == w][v == w:]
+    return sv[0] - sw[0] if sv and sw else None
 
 
 def _pair_variation(spec: PatternSpec, v: str, w: str, zs: list[str]) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from typing import Optional
 
 from . import characteristics as chars
@@ -244,12 +244,14 @@ def nb_no_overlap(
 # --------------------------------------------------------------------------
 # Width properties
 
+@lru_cache(maxsize=None)
 def is_fixed_length(spec: PatternSpec) -> bool:
-    """All nonempty language words share one length: the only one, and
-    below the periodic start, since every length from there on recurs."""
-    bits, start, _ = spec.aut.lengths()
-    nonempty = bits & ~1
-    return 0 < nonempty < 1 << start and nonempty & (nonempty - 1) == 0
+    """All nonempty language words share one length, the shortest w.  The
+    automaton is trimmed, so every state a word reaches leads on to an
+    accepted word: that holds iff no word of w + 1 letters reaches one."""
+    w = spec.aut.shortest_nonempty_length()
+    return w is not None and not next(islice(spec.aut._length_sets(),
+                                             w + 1, None))
 
 
 def width_max(spec: PatternSpec) -> PropertyCheck:

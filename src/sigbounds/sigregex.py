@@ -8,7 +8,8 @@ rest of the package queries.  The NFA has one transition table, the arcs of
 each letter, and state sets are int bitmasks; reading a word runs the subset
 construction (Rabin & Scott, 1959) lazily, one remembered (state set,
 letter) successor at a time, so no query pays for subsets it never reaches.
-Words are listed by one depth-first walk along those successors.
+Words are listed by one depth-first walk along those successors; lengths,
+by one lazy walk of the sets reached by each word length.
 
 Concrete syntax::
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import islice
 from operator import or_
 from typing import Iterable, Iterator, Optional
 
@@ -367,7 +369,8 @@ class Automaton:
     table.  :meth:`step` is the subset construction done lazily, each
     (state set, letter) successor computed from ``arcs`` on first use and
     remembered, so a large automaton costs what is read of it and never
-    ``2 ** n_states`` up front.
+    ``2 ** n_states`` up front.  Every length question reads one lazy walk,
+    :meth:`_length_sets`, and stops at its own answer.
 
     The automaton is trimmed: every state lies on some path from an initial
     to an accepting state, except for the canonical empty automaton which
@@ -375,7 +378,7 @@ class Automaton:
     """
 
     __slots__ = ("n_states", "initial", "accepting", "arcs", "_succ",
-                 "_lengths", "_reversal")
+                 "_next", "_reversal")
 
     def __init__(self, n_states: int, initial: int, accepting: int,
                  arcs: Arcs):
@@ -384,7 +387,7 @@ class Automaton:
         self.accepting = accepting
         self.arcs = {ch: tuple(arcs.get(ch, ())) for ch in ALPHABET}
         self._succ: dict[str, dict[int, int]] = {ch: {} for ch in ALPHABET}
-        self._lengths: Optional[tuple[int, int, int]] = None
+        self._next: Optional[list[int]] = None
         self._reversal: Optional[Automaton] = None
 
     def __repr__(self) -> str:
@@ -478,47 +481,34 @@ class Automaton:
             return False
         return bool(self._read((1 << self.n_states) - 1, word))
 
-    def lengths(self) -> tuple[int, int, int]:
-        """The exact set of word lengths as ``(bits, start, period)``.
-
-        The state sets reached by words of k letters follow one successor
-        map, so from some ``start`` they repeat with some ``period``, and so
-        do the lengths (Chrobak, 1986); ``bits`` holds those below
-        ``start + period``.  Walked once; read it through :meth:`has_length`.
-        """
-        if self._lengths is None:
-            succ = [0] * self.n_states
+    def _length_sets(self) -> Iterator[int]:
+        """The state sets reached by the words of 0, 1, 2, ... letters,
+        without end, each from the one before through one successor table
+        that merges the three letters, built on first use and kept."""
+        if self._next is None:
+            self._next = [0] * self.n_states
             for pairs in self.arcs.values():
                 for q, r in pairs:
-                    succ[q] |= 1 << r
-            seen, bits, cur = {}, 0, self.initial
-            while cur not in seen:
-                k = seen[cur] = len(seen)
-                if cur & self.accepting:
-                    bits |= 1 << k
-                cur = reduce(or_, map(succ.__getitem__, states_of(cur)), 0)
-            start = seen[cur]
-            self._lengths = (bits, start, len(seen) - start)
-        return self._lengths
+                    self._next[q] |= 1 << r
+        succ, cur = self._next, self.initial
+        while True:
+            yield cur
+            cur = reduce(or_, map(succ.__getitem__, states_of(cur)), 0)
 
     def has_length(self, m: int) -> bool:
         """Does the language have a word of exactly ``m`` letters?"""
-        bits, start, period = self.lengths()
-        return bool(bits >> min(m, start + (m - start) % period) & 1)
+        return bool(next(islice(self._length_sets(), m, None))
+                    & self.accepting)
 
     def shortest_nonempty_length(self) -> Optional[int]:
         """Length of a shortest nonempty accepted word, or None.
 
         A shortest nonempty accepting path repeats no state after its first
-        arc, so it has at most ``n_states`` letters: far fewer steps than
-        the period :meth:`lengths` walks.
+        arc, so it has at most ``n_states`` letters.
         """
-        cur = self.initial
-        for m in range(1, self.n_states + 1):
-            cur = reduce(or_, (self.step(cur, ch) for ch in ALPHABET))
-            if cur & self.accepting:
-                return m
-        return None
+        sets = islice(self._length_sets(), 1, self.n_states + 1)
+        return next((m for m, cur in enumerate(sets, 1)
+                     if cur & self.accepting), None)
 
     def intersect(self, other: "Automaton") -> "Automaton":
         """Product automaton for the intersection of the two languages.

@@ -2,6 +2,7 @@
 smallest variation, and the cap-stabilization protocol behind the last two."""
 
 import itertools
+import random
 
 import pytest
 
@@ -120,6 +121,26 @@ class TestRange:
         assert ch.range_of(PatternSpec("even", "(<<)*>+"), 250) == \
             CharValue.defined(125)
         assert ch._supportable.cache_info().misses - misses <= 20
+
+    def test_template_matches_listed_words(self):
+        # the decided template against the least height of listed words
+        # at n = omega + 2 .. omega + 12, on two-branch unions as well
+        raw = raw_universe()
+        rng = random.Random(11)
+        exprs = raw + ["|".join(rng.sample(raw, 2)) for _ in range(60)]
+        specs = ([e.spec for e in cat.all_entries()]
+                 + [PatternSpec(e, e) for e in exprs])
+        templates = set()
+        for spec in specs:
+            omega, eta = ch.width(spec), ch.height(spec)
+            ns = range(omega + 2, omega + 13)
+            got = [naive_range(spec, n) for n in ns]
+            want = next(((e, c) for e, c in ((0, 0), (0, 1), (1, 0))
+                         if got == [e * (n - 1 - eta) + c + eta
+                                    for n in ns]), None)
+            assert ch.range_params(spec) == want, spec.name
+            templates.add(want)
+        assert templates == {(0, 0), (0, 1), (1, 0), None}
 
     def test_affine_template(self):
         assert ch.range_params(PEAK) == (0, 0)
@@ -240,6 +261,22 @@ class TestShift:
                         positive += bool(got)
         # a shift above 0 is where the greatest series matters
         assert positive > 3000
+
+    def test_gap_reads_both_shifts_of_one_scan(self):
+        specs = ([e.spec for e in cat.all_entries()]
+                 + [PatternSpec(e, e) for e in raw_universe()])
+        gaps = 0
+        for spec in specs:
+            words = [u for u in spec.aut.words_up_to(3) if u]
+            for v, w, span in itertools.product(words, words, (1, 2, 3)):
+                for z in ch.superpositions(spec, v, w, Domain(0, span)):
+                    sv = ch.shift(spec, z, v, 1)
+                    sw = ch.shift(spec, z, w, 1 if v != w else 2)
+                    want = None if sv is None or sw is None else sv - sw
+                    assert ch._shift_gap(spec, z, v, w) == want, \
+                        (spec.name, z, v, w)
+                    gaps += want is not None
+        assert gaps > 1000
 
 
 class TestSmallestVariation:

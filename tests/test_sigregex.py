@@ -6,6 +6,7 @@ import itertools
 import random
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from helpers import (
 from sigbounds import characteristics as ch
 from sigbounds import properties as pr
 from sigbounds import sigregex as sr
+from sigbounds.cli import main
 from sigbounds.series import PatternSpec, maximal_occurrences, word_height
 
 
@@ -144,13 +146,30 @@ class TestAutomaton:
         # the empty word does not count
         assert sr.compile(sr.parse("<*")).shortest_nonempty_length() == 1
 
-    def test_shortest_length_walks_no_period(self):
-        # unary cycles of prime lengths up to 17 give a length period of
-        # 510,510; a shortest word needs at most one step per state
-        spec = PatternSpec("primes", "|".join(
-            f"({'<' * p})*" for p in (2, 3, 5, 7, 11, 13, 17)))
+    def test_length_questions_walk_no_period(self, monkeypatch):
+        # unary cycles of the primes up to 23 give a length period of
+        # 223,092,870; each question stops at its own answer instead
+        walk, read = sr.Automaton._length_sets, []
+
+        def counted(aut):
+            for states in walk(aut):
+                read.append(states)
+                yield states
+
+        monkeypatch.setattr(sr.Automaton, "_length_sets", counted)
+        expr = "|".join(f"({'<' * p})*"
+                        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23))
+        spec = PatternSpec("primes", expr)
         assert ch.width(spec) == 2
-        assert spec.aut._lengths is None
+        assert not pr.is_fixed_length(spec)
+        # 29 is the first length missing from 3 on
+        assert ch.range_params(spec) is None
+        got = CliRunner().invoke(main, ["bound", "min_width", expr,
+                                        "--side", "lower", "--n", "5",
+                                        "--hi", "2"])
+        assert got.exit_code == 3
+        assert "no width lower-bound rule applies" in got.output
+        assert 0 < len(read) < 300
 
     def test_intersect_is_language_intersection(self):
         a = sr.compile(sr.parse("<(<|=)*"))
@@ -236,10 +255,12 @@ class TestAgainstNaiveMatcher:
         for w in SHORT_WORDS:
             assert aut.accepts(w) == (w in members), (node, w)
         assert aut.words_up_to(3) == sorted(members, key=sr.word_key)
-        # past the periodic start and period of every length set seen
-        # (at most 11); a finite language has no word of n_states letters
+        # past the periodic start and period of the length set of so few
+        # states, both below n * n; a finite language has no word of
+        # n_states letters
         n = aut.n_states
-        lengths = naive_lengths(node, max(16, 2 * n - 1))
+        far = 2 * n * n + 16
+        lengths = naive_lengths(node, far)
         for k in range(17):
             assert aut.has_length(k) == (k in lengths), (node, k)
         nonempty = sorted(x for x in lengths if x)
@@ -248,6 +269,12 @@ class TestAgainstNaiveMatcher:
         fixed = len(nonempty) == 1 and nonempty[0] < n
         assert pr.is_fixed_length(PatternSpec("h", sr.render(node))) == \
             fixed, node
+        # every length from m on, or none
+        for m in range(n + 2):
+            tail = [k in lengths for k in range(m, far + 1)]
+            assert ch._lengths_from(aut, m, True) == all(tail), (node, m)
+            assert ch._lengths_from(aut, m, False) == (not any(tail)), \
+                (node, m)
         factors = naive_factors(node, 3)
         for w in SHORT_WORDS:
             assert aut.is_factor(w) == (w in factors), (node, w)
