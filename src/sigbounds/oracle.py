@@ -10,18 +10,20 @@ them.
 :func:`brute_extrema` walks every series.  The features of ``bounds.RULES``
 depend only on where the maximal occurrences lie, so the sweep folds the
 values of the signatures of height at most the span instead, each standing
-for the series it supports, from the walk of
-``series._reversed_signatures``.  Only a failing row walks its cell again,
-for the least series supporting a signature of the violated extreme.  Both
-fold every series of the shape, (span + 1) ** n of them, and budgets count
-series.
+for the series it supports.  It reads them from the merged levels of
+``series._signature_levels``, where prefixes that agree on height states,
+scan row and occurrences are one key, and folds each distinct occurrence
+chain once.  Only a cell with a failing row walks its words, through
+``series._reversed_signatures``, once for the least series of every
+violated extreme.  Both fold every series of the shape, (span + 1) ** n of
+them, and budgets count series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import bounds as bounds_mod
 from .bounds import BoundError, BoundResult, Side
@@ -46,6 +48,7 @@ from .series import (
     TimeSeries,
     _least_support,
     _reversed_signatures,
+    _signature_levels,
     aggregate,
     enumerate_series,
     ext_to_json,
@@ -298,17 +301,15 @@ class SweepReport:
         }
 
 
-def _cell_values(spec: PatternSpec, n: int, d: Domain
-                 ) -> Iterator[tuple[str, dict[Feature, list[int]]]]:
-    """Each signature of a series of length ``n`` over ``d``, reversed,
-    with the positional feature values of its maximal occurrences."""
-    trim = 1 - spec.a - spec.b
-    for word, chain in _reversed_signatures(spec, n - 1, d.span):
-        widths = [letters + trim for _, letters in chain]
-        if widths and min(widths) < 1:
-            raise EmptyPatternError(f"an occurrence of {spec.name} in "
-                                    f"{word[::-1]!r} trims to nothing")
-        yield word, {Feature.ONE: [1] * len(chain), Feature.WIDTH: widths}
+def _chain_values(spec: PatternSpec, word: str,
+                  chain: tuple) -> dict[Feature, list[int]]:
+    """The positional feature values of the maximal occurrences ``chain``
+    of the reversed signature ``word``."""
+    widths = [letters + 1 - spec.a - spec.b for _, letters in chain]
+    if widths and min(widths) < 1:
+        raise EmptyPatternError(f"an occurrence of {spec.name} in "
+                                f"{word[::-1]!r} trims to nothing")
+    return {Feature.ONE: [1] * len(chain), Feature.WIDTH: widths}
 
 
 def _cell_extrema(
@@ -318,29 +319,51 @@ def _cell_extrema(
     gfs: Iterable[tuple[Aggregator, Feature]],
 ) -> dict[tuple[Aggregator, Feature], ExtremaResult]:
     """What :func:`brute_extrema` gives for several aggregator/feature
-    pairs, witnesses aside, from one pass over the signatures of height at
-    most the span.  The features must be positional, so one value serves
-    every series that supports a signature."""
+    pairs, witnesses aside, from the last of the merged levels of
+    ``series._signature_levels``: each distinct occurrence chain is folded
+    once, named by the least reversed signature carrying it.  The features
+    must be positional, so one value serves every series that supports a
+    signature with that chain."""
     trackers = {gf: ExtremaResult(n, d) for gf in set(gfs)}
     for _, f in trackers:
         if f not in (Feature.ONE, Feature.WIDTH):
             raise ValueError(f"feature {f.value!r} reads series values")
-    for _, feats in _cell_values(spec, n, d):
+    for level in _signature_levels(spec, n - 1, d.span):
+        pass
+    chains: dict[tuple, str] = {}
+    for (_, _, chain), word in level.items():
+        chains.setdefault(chain, word)
+    for chain, word in chains.items():
+        feats = _chain_values(spec, word, chain)
         for (g, f), tracker in trackers.items():
             tracker.add(None, aggregate(g, feats[f]), bool(feats[f]))
     return trackers
 
 
-def _counterexample(spec: PatternSpec, n: int, d: Domain, g: Aggregator,
-                    f: Feature, extreme: ExtendedInt) -> TimeSeries:
-    """:func:`brute_extrema`'s witness of ``extreme``, the first series of
-    that value in lexicographic order: each series lies pointwise above
-    the least series supporting its signature, so it is the least of
-    those over the signatures of that value."""
-    return min((_least_support(word[::-1], d)
-                for word, feats in _cell_values(spec, n, d)
-                if aggregate(g, feats[f]) == extreme),
-               key=lambda t: t.values)
+def _counterexamples(spec: PatternSpec, n: int, d: Domain,
+                     wanted: Iterable[tuple[Aggregator, Feature, ExtendedInt]]
+                     ) -> dict[tuple, TimeSeries]:
+    """:func:`brute_extrema`'s witness of each wanted (g, f, extreme), the
+    first series of that value in lexicographic order, from one pass over
+    the signatures: each series lies pointwise above the least series
+    supporting its signature, so the witness is the least of those over
+    the signatures of that value."""
+    wanted = set(wanted)
+    found: dict[tuple, TimeSeries] = {}
+    if not wanted:
+        return found
+    for word, chain in _reversed_signatures(spec, n - 1, d.span):
+        feats = _chain_values(spec, word, chain)
+        least = None
+        for key in wanted:
+            g, f, extreme = key
+            if aggregate(g, feats[f]) != extreme:
+                continue
+            if least is None:
+                least = _least_support(word[::-1], d)
+            if key not in found or least.values < found[key].values:
+                found[key] = least
+    return found
 
 
 def sharpness_report(
@@ -382,6 +405,7 @@ def sharpness_report(
                 if not got:
                     continue
                 cells = _cell_extrema(spec, n, d, [(g, f) for g, f, _ in got])
+                rows = []
                 for (g, f, side), br in got.items():
                     ex = cells[(g, f)]
                     if side is Side.UPPER:
@@ -391,8 +415,7 @@ def sharpness_report(
                         extreme = ex.min_all
                         valid = br.value <= extreme
                         ref = ex.min_occ if f is Feature.WIDTH else extreme
-                    attained = ref == br.value
-                    report.rows.append(SweepRow(
+                    rows.append((extreme, SweepRow(
                         spec.name, g, f, side, n, d,
                         bound=br.value,
                         sharp_claimed=br.sharp,
@@ -400,8 +423,13 @@ def sharpness_report(
                         brute_min=ex.min_all,
                         brute_max=ex.max_all,
                         valid=valid,
-                        attained=attained,
-                        counterexample=None if valid else
-                        _counterexample(spec, n, d, g, f, extreme),
-                    ))
+                        attained=ref == br.value,
+                    )))
+                # one search walk serves every failing row of the cell
+                found = _counterexamples(spec, n, d, [
+                    (r.g, r.f, extreme) for extreme, r in rows if not r.valid])
+                report.rows += [
+                    r if r.valid else
+                    replace(r, counterexample=found[(r.g, r.f, extreme)])
+                    for extreme, r in rows]
     return report

@@ -23,7 +23,8 @@ from enum import Enum
 from typing import Iterator, Optional, Sequence, Union
 
 from . import sigregex
-from .sigregex import EQ, GT, LT, Automaton, Regex, check_word, states_of
+from .sigregex import (ALPHABET, EQ, GT, LT, Automaton, Regex, check_word,
+                       states_of)
 
 # Extended integers: plain ints plus the two infinities (used for aggregator
 # defaults and open-ended bounds).
@@ -285,37 +286,81 @@ def maximal_occurrences(spec: PatternSpec, s: str) -> list[Occurrence]:
     return out
 
 
-def _reversed_signatures(spec: PatternSpec, m: int,
-                         span: int) -> Iterator[tuple[str, tuple]]:
-    """Every signature of ``m`` letters and height at most ``span``,
-    reversed, with its maximal occurrences in signature order as (letters
-    after the end, letters).  H_span is closed under reversal, so a step of
-    its walk is a step of the backward scan of :func:`maximal_occurrences`,
-    kept per depth so that one scan serves every word below a node; ends
-    count the letters after them, ``m + 1`` for none."""
+def _scan_stepper(spec: PatternSpec, m: int):
+    """The start row and the step of the backward scan of
+    :func:`maximal_occurrences` over a reversed signature of ``m`` letters.
+    The step takes the scan row and the maximal occurrences of a prefix of
+    ``depth - 1`` letters and the letter at ``depth``, and gives those of
+    the longer prefix; ends count the letters after them, ``m + 1`` for
+    none, and occurrences are (letters after the end, letters)."""
     aut = spec.aut
+    arcs = aut.arcs
     initial = list(states_of(aut.initial))
     # the scan row at each depth before its letter: empty runs end at once
     blank = [[k if aut.accepting >> q & 1 else m + 1
               for q in range(aut.n_states)] for k in range(m + 1)]
-    fars, chains = blank[:], [()] * (m + 1)
+
+    def step(far: tuple, chain: tuple, depth: int, letter: str):
+        nxt = blank[depth][:]
+        for q, r in arcs[letter]:
+            if far[r] < nxt[q]:
+                nxt[q] = far[r]
+        after = min(map(nxt.__getitem__, initial))
+        if after < depth:
+            # the new start's match covers each later one ending no further
+            chain = ((after, depth - after),) + tuple(
+                o for o in chain if o[0] < after)
+        return tuple(nxt), chain
+
+    return tuple(blank[0]), step
+
+
+def _reversed_signatures(spec: PatternSpec, m: int,
+                         span: int) -> Iterator[tuple[str, tuple]]:
+    """Every signature of ``m`` letters and height at most ``span``,
+    reversed, in letter order, with its maximal occurrences in signature
+    order as (letters after the end, letters).  H_span is closed under
+    reversal, so a step of its walk is a step of the backward scan of
+    :func:`maximal_occurrences`, kept per depth so that one scan serves
+    every word below a node.  Only readers of the words themselves need
+    this walk; :func:`_signature_levels` merges it."""
     walk = sigregex.bounded_height_automaton(min(span, m))._prefixes(m)
+    start, step = _scan_stepper(spec, m)
+    fars, chains = [start] * (m + 1), [()] * (m + 1)
     for word, _ in walk:
         depth = len(word)
         if depth:
-            far, nxt = fars[depth - 1], blank[depth][:]
-            for q, r in aut.arcs[word[-1]]:
-                if far[r] < nxt[q]:
-                    nxt[q] = far[r]
-            after = min(map(nxt.__getitem__, initial))
-            chain = chains[depth - 1]
-            if after < depth:
-                # the new start's match covers each later one ending no further
-                chain = ((after, depth - after),) + tuple(
-                    o for o in chain if o[0] < after)
-            fars[depth], chains[depth] = nxt, chain
+            fars[depth], chains[depth] = step(
+                fars[depth - 1], chains[depth - 1], depth, word[-1])
         if depth == m:
             yield word, chains[depth]
+
+
+def _signature_levels(spec: PatternSpec, m: int,
+                      span: int) -> Iterator[dict[tuple, str]]:
+    """The walk of :func:`_reversed_signatures` level by level, with
+    prefixes merged.  Level k maps each distinct (height state set, scan
+    row, maximal occurrences) that a reversed prefix of k letters reaches
+    to the least such prefix.  Prefixes that agree on the three have the
+    same continuations and the same occurrences at depth ``m``, so one key
+    stands for them all, and no level holds more keys than the word walk
+    has prefixes.  Keys are expanded in order and letters in letter order,
+    so the first prefix to reach a key is its least."""
+    heights = sigregex.bounded_height_automaton(min(span, m))
+    start, step = _scan_stepper(spec, m)
+    level = {(heights.initial, start, ()): ""}
+    yield level
+    for depth in range(1, m + 1):
+        nxt: dict[tuple, str] = {}
+        for (states, far, chain), word in level.items():
+            for ch in ALPHABET:
+                reached = heights.step(states, ch)
+                if reached:
+                    key = (reached, *step(far, chain, depth, ch))
+                    if key not in nxt:
+                        nxt[key] = word + ch
+        level = nxt
+        yield level
 
 
 def feature_of(spec: PatternSpec, f: Feature, t: TimeSeries,

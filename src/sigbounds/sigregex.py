@@ -496,9 +496,22 @@ class Automaton:
             cur = reduce(or_, map(succ.__getitem__, states_of(cur)), 0)
 
     def has_length(self, m: int) -> bool:
-        """Does the language have a word of exactly ``m`` letters?"""
-        return bool(next(islice(self._length_sets(), m, None))
-                    & self.accepting)
+        """Does the language have a word of exactly ``m`` letters?
+
+        Reads set m, or stops at the first set j that repeats an earlier
+        set i: from there the sets cycle with period j - i.
+        """
+        if m < 0:
+            return False
+        first: dict[int, int] = {}
+        for j, cur in enumerate(self._length_sets()):
+            i = first.setdefault(cur, j)
+            if j == m:
+                break
+            if i < j:
+                cur = list(first)[i + (m - i) % (j - i)]
+                break
+        return bool(cur & self.accepting)
 
     def shortest_nonempty_length(self) -> Optional[int]:
         """Length of a shortest nonempty accepted word, or None.

@@ -4,6 +4,8 @@ the sweep that certifies every closed-form bound against enumeration."""
 import itertools
 import math
 import random
+import re
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
@@ -18,6 +20,8 @@ from sigbounds import bounds as bd
 from sigbounds import catalogue as cat
 from sigbounds import characteristics as ch
 from sigbounds import oracle as orc
+from sigbounds import series
+from sigbounds import sigregex as sr
 from sigbounds.bounds import BoundResult, Side
 from sigbounds.characteristics import CharValue
 from sigbounds.cli import main
@@ -29,6 +33,8 @@ from sigbounds.series import (
     PatternSpec,
     TimeSeries,
     _least_support,
+    _reversed_signatures,
+    _signature_levels,
     enumerate_series,
     evaluate,
     signature,
@@ -130,7 +136,9 @@ class TestCellExtrema:
 
     def test_an_occurrence_trimmed_to_nothing_is_refused(self):
         lone = PatternSpec("lone", "<", a=1, b=1)
-        with pytest.raises(EmptyPatternError, match="trims to nothing"):
+        # the message names the first such signature in letter order
+        with pytest.raises(EmptyPatternError, match=re.escape(
+                "an occurrence of lone in '==<' trims to nothing")):
             orc._cell_extrema(lone, 4, Domain(0, 1),
                               [(Aggregator.SUM, Feature.ONE)])
         with pytest.raises(EmptyPatternError, match="trims to nothing"):
@@ -149,6 +157,50 @@ class TestCellExtrema:
             orc.sharpness_report(
                 [PEAK], [(Aggregator.SUM, Feature.SURF, Side.UPPER)],
                 n_range=[4], domains=[Domain(0, 1)], bound_fn=surf_bound)
+
+
+class TestSignatureLevels:
+    @pytest.mark.parametrize(
+        "spec", [e.spec for e in cat.all_entries()]
+        + [PatternSpec(e, e) for e in random.Random(3).sample(
+            raw_universe(), 8) + _two_branch_unions(4, 4)],
+        ids=lambda spec: spec.name)
+    def test_merged_chains_are_the_word_walk_chains(self, spec):
+        for span in (1, 2, 3):
+            for m in range(9):
+                walk = sr.bounded_height_automaton(min(span, m))._prefixes(m)
+                prefixes = Counter(len(word) for word, _ in walk)
+                levels = list(_signature_levels(spec, m, span))
+                assert len(levels) == m + 1
+                for k, level in enumerate(levels):
+                    assert len(level) <= prefixes[k], (span, m, k)
+                # each chain, in order, with the least word carrying it
+                want, got = {}, {}
+                for word, chain in _reversed_signatures(spec, m, span):
+                    want.setdefault(chain, word)
+                for (_, _, chain), word in levels[-1].items():
+                    got.setdefault(chain, word)
+                assert list(got.items()) == list(want.items()), (span, m)
+
+    def test_the_fold_merges_prefixes_and_lists_no_words(self, monkeypatch):
+        step, calls = sr.Automaton.step, [0]
+
+        def counted(aut, states, letter):
+            calls[0] += 1
+            return step(aut, states, letter)
+
+        def refused(*args):
+            raise AssertionError("the fold listed words")
+
+        monkeypatch.setattr(sr.Automaton, "step", counted)
+        monkeypatch.setattr(series, "_reversed_signatures", refused)
+        monkeypatch.setattr(orc, "_reversed_signatures", refused)
+        monkeypatch.setattr(sr.Automaton, "_prefixes", refused)
+        cells = orc._cell_extrema(PEAK, 10, Domain(0, 3),
+                                  [(g, f) for g, f, _ in orc.GF_SUPPORTED])
+        assert cells[(Aggregator.SUM, Feature.ONE)].max_all == 4
+        # the word walk steps 24,165 times on this cell
+        assert 0 < calls[0] < 4000
 
 
 class TestSignatureSupport:

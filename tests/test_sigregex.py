@@ -140,6 +140,24 @@ class TestAutomaton:
         assert [k for k in range(20) if aut.has_length(k)] == \
             list(range(3, 20))
 
+    def test_has_length_stops_at_the_first_repeat(self, monkeypatch):
+        walk, read = sr.Automaton._length_sets, []
+
+        def counted(aut):
+            for states in walk(aut):
+                read.append(states)
+                yield states
+
+        monkeypatch.setattr(sr.Automaton, "_length_sets", counted)
+        aut = sr.compile(sr.parse("<(<<<)*"))
+        assert [k for k in range(12) if aut.has_length(k)] == [1, 4, 7, 10]
+        read.clear()
+        assert aut.has_length(3 * 10 ** 12 + 1)
+        assert not aut.has_length(3 * 10 ** 12 + 2)
+        assert not aut.has_length(-1)
+        # each call reads to the first repeated set, one set per state
+        assert len(read) <= 2 * (aut.n_states + 1)
+
     def test_shortest_nonempty_length(self):
         assert sr.compile(sr.parse(">=+>")).shortest_nonempty_length() == 3
         assert sr.compile(sr.parse("0")).shortest_nonempty_length() is None
