@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 from typing import NoReturn, Optional, Sequence
 
 import click
@@ -149,6 +150,13 @@ def _format_option(fn):
     )(fn)
 
 
+def _fit_cells(rep: chars_mod.CharacteristicsReport) -> list[str]:
+    """The range fit's e and c, "-" without a fit, and the inducing words
+    in word order, as ``chars`` and ``table characteristics`` print them."""
+    fit = rep.range_params or ("-", "-")
+    return [*map(str, fit), " ".join(sorted(rep.inducing, key=word_key))]
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="sigbounds")
 def main() -> None:
@@ -183,11 +191,7 @@ def cmd_chars(pattern: str, lo: int, hi: int, n: Optional[int],
     if fmt == "json":
         _emit_json(rep.to_json())
         return
-    e_s, c_s = (
-        (str(rep.range_params[0]), str(rep.range_params[1]))
-        if rep.range_params is not None else ("-", "-")
-    )
-    inducing = " ".join(sorted(rep.inducing, key=word_key))
+    e_s, c_s, inducing = _fit_cells(rep)
     if fmt in ("md", "csv"):
         headers = ["pattern", "expr", "a", "b", "domain", "n", "cap",
                    "width", "height", "range", "e", "c", "inducing",
@@ -381,9 +385,7 @@ def cmd_verify(names: tuple[str, ...], run_all: bool,
     if fmt == "json":
         _emit_json(rep.to_json())
     elif fmt in ("md", "csv"):
-        headers = ["pattern", "g", "f", "side", "n", "domain", "bound",
-                   "sharp_claimed", "source", "brute_min", "brute_max",
-                   "valid", "attained", "skip", "counterexample"]
+        headers = [f.name for f in fields(oracle_mod.SweepRow)]
         rows = [
             [_cell(r.to_json()[h]) for h in headers]
             for r in rep.rows
@@ -471,13 +473,8 @@ def cmd_table(which: str, diff_golden: bool, fmt: str) -> None:
             span = entry.eta + 2
             n = max(2, entry.omega + 1)
             rep = chars_mod.report(spec, Domain(0, span), n)
-            e_s, c_s = (
-                (str(rep.range_params[0]), str(rep.range_params[1]))
-                if rep.range_params is not None else ("-", "-")
-            )
-            row = [entry.name, str(rep.omega), str(rep.eta), e_s, c_s,
-                   " ".join(sorted(rep.inducing, key=word_key)),
-                   str(rep.overlap), str(rep.variation),
+            row = [entry.name, str(rep.omega), str(rep.eta),
+                   *_fit_cells(rep), str(rep.overlap), str(rep.variation),
                    str(rep.range_at_n), str(span), str(n)]
             payload = rep.to_json()
             if diff_golden:

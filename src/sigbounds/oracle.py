@@ -8,21 +8,19 @@ agree with these; the sharpness report certifies the bound formulas against
 them.
 
 :func:`brute_extrema` walks every series.  The features of ``bounds.RULES``
-depend only on where the maximal occurrences lie, so the sweep folds the
-values of the signatures of height at most the span instead, each standing
-for the series it supports.  It reads them from the merged levels of
-``series._signature_levels``, where prefixes that agree on height states,
-scan row and occurrences are one key, and folds each distinct occurrence
-chain once.  Only a cell with a failing row walks its words, through
-``series._reversed_signatures``, once for the least series of every
-violated extreme.  Both fold every series of the shape, (span + 1) ** n of
-them, and budgets count series.
+depend only on where the maximal occurrences lie, so the sweep reads the
+signatures of height at most the span instead, from the merged levels of
+``series._signature_levels``, and folds each distinct occurrence chain of
+the last level once.  A cell with a failing row descends the same levels
+for the least series of each violated extreme.  Both stand for every series
+of the shape, (span + 1) ** n of them, and budgets count series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from itertools import product
+from dataclasses import dataclass, field, fields, replace
+from enum import Enum
+from itertools import islice, product
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import bounds as bounds_mod
@@ -46,8 +44,7 @@ from .series import (
     PLUS_INF,
     PatternSpec,
     TimeSeries,
-    _least_support,
-    _reversed_signatures,
+    _scan_stepper,
     _signature_levels,
     aggregate,
     enumerate_series,
@@ -56,6 +53,7 @@ from .series import (
     maximal_occurrences,
     signature,
 )
+from .sigregex import ALPHABET
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -73,10 +71,15 @@ def _spend(counter: list[int], amount: int = 1) -> None:
 
 
 def _to_json(v):
-    """An optional series as its text, an optional number JSON-safe."""
-    if isinstance(v, TimeSeries):
+    """A field JSON-safe: an enum by its value, a series or domain as its
+    text, a number with its infinities as strings, anything else as is."""
+    if isinstance(v, Enum):
+        return v.value
+    if isinstance(v, (TimeSeries, Domain)):
         return str(v)
-    return None if v is None else ext_to_json(v)
+    if v is None or isinstance(v, (bool, str)):
+        return v
+    return ext_to_json(v)
 
 
 # --------------------------------------------------------------------------
@@ -247,23 +250,7 @@ class SweepRow:
         return self.sharp_claimed and self.attained is False
 
     def to_json(self):
-        return {
-            "pattern": self.pattern,
-            "g": self.g.value,
-            "f": self.f.value,
-            "side": self.side.value,
-            "n": self.n,
-            "domain": str(self.domain),
-            "bound": _to_json(self.bound),
-            "sharp_claimed": self.sharp_claimed,
-            "source": self.source,
-            "brute_min": _to_json(self.brute_min),
-            "brute_max": _to_json(self.brute_max),
-            "valid": self.valid,
-            "attained": self.attained,
-            "skip": self.skip,
-            "counterexample": _to_json(self.counterexample),
-        }
+        return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass
@@ -344,25 +331,49 @@ def _counterexamples(spec: PatternSpec, n: int, d: Domain,
                      wanted: Iterable[tuple[Aggregator, Feature, ExtendedInt]]
                      ) -> dict[tuple, TimeSeries]:
     """:func:`brute_extrema`'s witness of each wanted (g, f, extreme), the
-    first series of that value in lexicographic order, from one pass over
-    the signatures: each series lies pointwise above the least series
-    supporting its signature, so the witness is the least of those over
-    the signatures of that value."""
+    first series of that value in lexicographic order, by a descent through
+    the merged levels of ``series._signature_levels``: each value is the
+    least x at which some key of the letters still to come can start (its
+    height bit ``d.hi - x``) and from which the letter into x, then those
+    chosen before, lead to a last key of that value.  Nothing is undone."""
     wanted = set(wanted)
+    if not wanted or n == 1:
+        # nothing to find, or one value and no letters: the chain is empty
+        return {want: TimeSeries((d.lo,)) for want in wanted}
+    m = n - 1
+    _, step = _scan_stepper(spec, m, d.span)
+    levels = list(islice(_signature_levels(spec, m, d.span), m))
+    # per wanted value, the keys one letter short of the last level that
+    # reach a key of that value, by that letter, and where those can start
+    into = {want: {ch: [] for ch in ALPHABET} for want in wanted}
+    starts = dict.fromkeys(wanted, 0)
+    for key, word in levels[-1].items():
+        for ch in ALPHABET:
+            last = step(key, m, ch)
+            if last is not None:
+                feats = _chain_values(spec, word + ch, last[2])
+                for want in wanted:
+                    if aggregate(want[0], feats[want[1]]) == want[2]:
+                        into[want][ch].append(key)
+                        starts[want] |= last[0]
     found: dict[tuple, TimeSeries] = {}
-    if not wanted:
-        return found
-    for word, chain in _reversed_signatures(spec, n - 1, d.span):
-        feats = _chain_values(spec, word, chain)
-        least = None
-        for key in wanted:
-            g, f, extreme = key
-            if aggregate(g, feats[f]) != extreme:
-                continue
-            if least is None:
-                least = _least_support(word[::-1], d)
-            if key not in found or least.values < found[key].values:
-                found[key] = least
+    for want, by_letter in into.items():
+        vals = [next(x for x in range(d.lo, d.hi + 1)
+                     if starts[want] >> d.hi - x & 1)]
+        for k in range(m - 1, -1, -1):
+            for x in range(d.lo, d.hi + 1):
+                letter = signature((vals[-1], x))
+                if letter not in by_letter:  # into[want] has every letter
+                    by_letter[letter] = [key for key in levels[k] if step(
+                        key, k + 1, letter) in landing]
+                if any(key[0] >> d.hi - x & 1 for key in by_letter[letter]):
+                    break
+            vals.append(x)
+            # the keys of the last k letters that led there
+            landing, by_letter = set(by_letter[letter]), {}
+        # rows with one witness share one series
+        found[want] = next((t for t in found.values() if list(t) == vals),
+                           TimeSeries(tuple(vals)))
     return found
 
 
@@ -425,7 +436,7 @@ def sharpness_report(
                         valid=valid,
                         attained=ref == br.value,
                     )))
-                # one search walk serves every failing row of the cell
+                # one descent per violated extreme of the cell
                 found = _counterexamples(spec, n, d, [
                     (r.g, r.f, extreme) for extreme, r in rows if not r.valid])
                 report.rows += [

@@ -15,8 +15,8 @@ from typing import Optional
 
 from . import characteristics as chars
 from . import sigregex
-from .series import Domain, PatternSpec, _reversed_signatures, word_height
-from .sigregex import EQ, GT, LT
+from .series import Domain, PatternSpec, _signature_levels, word_height
+from .sigregex import ALPHABET, EQ, GT, LT
 
 
 class PropertiesError(Exception):
@@ -189,11 +189,19 @@ def nb_overlap(
     return _fail(prop, deepest)
 
 
+@lru_cache(maxsize=None)
 def _carries_maximal(spec: PatternSpec, v: str, n: int, d: Domain) -> bool:
-    """Some signature of length n - 1 within the domain has v maximal."""
-    return any(word[after:after + letters] == v[::-1]
-               for word, chain in _reversed_signatures(spec, n - 1, d.span)
-               for after, letters in chain)
+    """Some signature of length n - 1 within the domain has v maximal: one
+    walk per count of letters after v, with v's letters forced there."""
+    m, k = n - 1, len(v)
+    for after in range(m - k + 1):
+        letters = [ALPHABET] * m
+        letters[after:after + k] = v[::-1]
+        for level in _signature_levels(spec, m, d.span, letters):
+            pass
+        if any((after, k) in chain for _, _, chain in level):
+            return True
+    return False
 
 
 _NO_OVERLAP_LENGTHS = 5

@@ -286,13 +286,16 @@ def maximal_occurrences(spec: PatternSpec, s: str) -> list[Occurrence]:
     return out
 
 
-def _scan_stepper(spec: PatternSpec, m: int):
-    """The start row and the step of the backward scan of
-    :func:`maximal_occurrences` over a reversed signature of ``m`` letters.
-    The step takes the scan row and the maximal occurrences of a prefix of
-    ``depth - 1`` letters and the letter at ``depth``, and gives those of
-    the longer prefix; ends count the letters after them, ``m + 1`` for
-    none, and occurrences are (letters after the end, letters)."""
+def _scan_stepper(spec: PatternSpec, m: int, span: int):
+    """The start key and the step of the walk over the reversed signatures
+    of ``m`` letters and height at most ``span``.  A key holds a prefix's
+    states in ``bounded_height_automaton(span)`` (level ``d.hi - x`` of a
+    domain ``d`` is set iff the letters read can start at value x), its
+    backward scan row of :func:`maximal_occurrences`, and its maximal
+    occurrences as (letters after the end, letters) in signature order.
+    The step takes a key, the next letter's depth and the letter, and
+    gives the longer prefix's key, or None once it leaves H_span."""
+    heights = sigregex.bounded_height_automaton(span)
     aut = spec.aut
     arcs = aut.arcs
     initial = list(states_of(aut.initial))
@@ -300,7 +303,11 @@ def _scan_stepper(spec: PatternSpec, m: int):
     blank = [[k if aut.accepting >> q & 1 else m + 1
               for q in range(aut.n_states)] for k in range(m + 1)]
 
-    def step(far: tuple, chain: tuple, depth: int, letter: str):
+    def step(key: tuple, depth: int, letter: str) -> Optional[tuple]:
+        states, far, chain = key
+        states = heights.step(states, letter)
+        if not states:
+            return None
         nxt = blank[depth][:]
         for q, r in arcs[letter]:
             if far[r] < nxt[q]:
@@ -310,55 +317,31 @@ def _scan_stepper(spec: PatternSpec, m: int):
             # the new start's match covers each later one ending no further
             chain = ((after, depth - after),) + tuple(
                 o for o in chain if o[0] < after)
-        return tuple(nxt), chain
+        return states, tuple(nxt), chain
 
-    return tuple(blank[0]), step
-
-
-def _reversed_signatures(spec: PatternSpec, m: int,
-                         span: int) -> Iterator[tuple[str, tuple]]:
-    """Every signature of ``m`` letters and height at most ``span``,
-    reversed, in letter order, with its maximal occurrences in signature
-    order as (letters after the end, letters).  H_span is closed under
-    reversal, so a step of its walk is a step of the backward scan of
-    :func:`maximal_occurrences`, kept per depth so that one scan serves
-    every word below a node.  Only readers of the words themselves need
-    this walk; :func:`_signature_levels` merges it."""
-    walk = sigregex.bounded_height_automaton(min(span, m))._prefixes(m)
-    start, step = _scan_stepper(spec, m)
-    fars, chains = [start] * (m + 1), [()] * (m + 1)
-    for word, _ in walk:
-        depth = len(word)
-        if depth:
-            fars[depth], chains[depth] = step(
-                fars[depth - 1], chains[depth - 1], depth, word[-1])
-        if depth == m:
-            yield word, chains[depth]
+    return (heights.initial, tuple(blank[0]), ()), step
 
 
-def _signature_levels(spec: PatternSpec, m: int,
-                      span: int) -> Iterator[dict[tuple, str]]:
-    """The walk of :func:`_reversed_signatures` level by level, with
-    prefixes merged.  Level k maps each distinct (height state set, scan
-    row, maximal occurrences) that a reversed prefix of k letters reaches
-    to the least such prefix.  Prefixes that agree on the three have the
-    same continuations and the same occurrences at depth ``m``, so one key
-    stands for them all, and no level holds more keys than the word walk
-    has prefixes.  Keys are expanded in order and letters in letter order,
-    so the first prefix to reach a key is its least."""
-    heights = sigregex.bounded_height_automaton(min(span, m))
-    start, step = _scan_stepper(spec, m)
-    level = {(heights.initial, start, ()): ""}
+def _signature_levels(spec: PatternSpec, m: int, span: int,
+                      letters: Optional[Sequence[str]] = None
+                      ) -> Iterator[dict[tuple, str]]:
+    """The signatures of ``m`` letters and height at most ``span``,
+    reversed, level by level with prefixes merged: level k maps each key
+    of :func:`_scan_stepper` that a prefix of k letters reaches to the
+    least such prefix, since prefixes with one key have the same
+    continuations.  ``letters[k - 1]``, when given, holds the letters
+    allowed at depth k."""
+    start, step = _scan_stepper(spec, m, span)
+    level = {start: ""}
     yield level
     for depth in range(1, m + 1):
         nxt: dict[tuple, str] = {}
-        for (states, far, chain), word in level.items():
-            for ch in ALPHABET:
-                reached = heights.step(states, ch)
-                if reached:
-                    key = (reached, *step(far, chain, depth, ch))
-                    if key not in nxt:
-                        nxt[key] = word + ch
+        allowed = ALPHABET if letters is None else letters[depth - 1]
+        for key, word in level.items():
+            for ch in allowed:
+                reached = step(key, depth, ch)
+                if reached is not None and reached not in nxt:
+                    nxt[reached] = word + ch
         level = nxt
         yield level
 

@@ -20,6 +20,7 @@ from sigbounds import bounds as bd
 from sigbounds import catalogue as cat
 from sigbounds import characteristics as ch
 from sigbounds import oracle as orc
+from sigbounds import properties as pr
 from sigbounds import series
 from sigbounds import sigregex as sr
 from sigbounds.bounds import BoundResult, Side
@@ -33,7 +34,6 @@ from sigbounds.series import (
     PatternSpec,
     TimeSeries,
     _least_support,
-    _reversed_signatures,
     _signature_levels,
     enumerate_series,
     evaluate,
@@ -174,9 +174,13 @@ class TestSignatureLevels:
                 assert len(levels) == m + 1
                 for k, level in enumerate(levels):
                     assert len(level) <= prefixes[k], (span, m, k)
-                # each chain, in order, with the least word carrying it
+                # each chain, in order, with the least word carrying it,
+                # the chain scanned on each reversed signature by itself
                 want, got = {}, {}
-                for word, chain in _reversed_signatures(spec, m, span):
+                for word in sr.bounded_height_automaton(span).words(m):
+                    chain = tuple(
+                        (m - o.j, o.j - o.i + 1)
+                        for o in series.maximal_occurrences(spec, word[::-1]))
                     want.setdefault(chain, word)
                 for (_, _, chain), word in levels[-1].items():
                     got.setdefault(chain, word)
@@ -190,17 +194,32 @@ class TestSignatureLevels:
             return step(aut, states, letter)
 
         def refused(*args):
-            raise AssertionError("the fold listed words")
+            raise AssertionError("words were listed")
 
         monkeypatch.setattr(sr.Automaton, "step", counted)
-        monkeypatch.setattr(series, "_reversed_signatures", refused)
-        monkeypatch.setattr(orc, "_reversed_signatures", refused)
         monkeypatch.setattr(sr.Automaton, "_prefixes", refused)
         cells = orc._cell_extrema(PEAK, 10, Domain(0, 3),
                                   [(g, f) for g, f, _ in orc.GF_SUPPORTED])
         assert cells[(Aggregator.SUM, Feature.ONE)].max_all == 4
         # the word walk steps 24,165 times on this cell
         assert 0 < calls[0] < 4000
+        # a cell with failing rows finds its counterexamples on the levels;
+        # the bounds themselves read words, so they are taken beforehand
+        monkeypatch.undo()
+        tight = {(g, f, side): off_by_one(g, f, side, PEAK, 10, Domain(0, 3))
+                 for g, f, side in orc.GF_SUPPORTED}
+        monkeypatch.setattr(sr.Automaton, "step", counted)
+        monkeypatch.setattr(sr.Automaton, "_prefixes", refused)
+        calls[0] = 0
+        rep = orc.sharpness_report(
+            [PEAK], n_range=[10], domains=[Domain(0, 3)],
+            bound_fn=lambda g, f, side, *_: tight[g, f, side])
+        assert len(rep.failures) == 5
+        assert all(r.counterexample for r in rep.failures)
+        # 8,845 steps here; the fold and a walk over the words took
+        # 2,697 + 24,165
+        assert 0 < calls[0] < 12000
+        assert pr._carries_maximal(PEAK, "<>", 10, Domain(0, 3))
 
 
 class TestSignatureSupport:
@@ -371,8 +390,11 @@ class TestSweep:
         specs = [e.spec for e in cat.all_entries()] + [
             PatternSpec(e, e) for e in random.Random(3).sample(
                 raw_universe(), 8)]
+        # shifted domains pin the value read off each height bit
+        domains = [Domain(0, 1), Domain(0, 2), Domain(0, 3), Domain(2, 4),
+                   Domain(-1, 0)]
         rep = orc.sharpness_report(specs, n_range=range(2, 6),
-                                   bound_fn=off_by_one)
+                                   domains=domains, bound_fn=off_by_one)
         spec_of = {spec.name: spec for spec in specs}
         invalid = [r for r in rep.rows if r.valid is False]
         assert len(invalid) > 500
