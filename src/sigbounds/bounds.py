@@ -156,13 +156,18 @@ def nb_lower(
         check = properties.nb_simple(spec, d)
     except (sigregex.RegexError, chars.CharacteristicsError) as e:
         raise NotApplicableError(str(e)) from e
-    if check.holds:
+    if check.holds and properties.occurrence_avoidable(spec, n, d):
         return BoundResult(
             0, Side.LOWER, True, "nb-simple-lower", (("nb-simple", True),)
         )
     if d.span == 0:
         return _unique_series(spec, n, d, Aggregator.SUM, Feature.ONE,
                               Side.LOWER, "unique-series-count")
+    if check.holds:
+        raise NotApplicableError(
+            f"{spec.name}: every series of length {n} over {d} has an "
+            "occurrence"
+        )
     raise NotApplicableError(
         f"{spec.name}: no lower-bound rule applies over {d}"
     )

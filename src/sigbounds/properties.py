@@ -58,6 +58,56 @@ def occurrence_feasible(spec: PatternSpec, n: int, d: Domain) -> bool:
     return shortest is not None and shortest <= n - 1
 
 
+def occurrence_avoidable(spec: PatternSpec, n: int, d: Domain) -> bool:
+    """Whether some series of length n over d has no occurrence at all.
+
+    Exactly when some signature of n - 1 letters and height at most the
+    span has no nonempty factor in the language.  The constant and, over
+    two values or more, the alternating series, which :func:`nb_simple`
+    offers as witnesses, are tried before the words of
+    :func:`_factor_free` are.
+    """
+    tries = [EQ * (n - 1)]
+    if d.span:
+        tries.append(((LT + GT) * n)[:n - 1])
+    if any(_avoids(spec.aut, w) for w in tries):
+        return True
+    return _factor_free(spec, d.span).has_length(n - 1)
+
+
+def _avoids(aut: sigregex.Automaton, word: str) -> bool:
+    """No nonempty factor of ``word`` is in the language: the runs started
+    at every position so far, read letter by letter, never accept."""
+    runs = 0
+    for ch in word:
+        runs = aut.step(runs | aut.initial, ch)
+        if runs & aut.accepting:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _factor_free(spec: PatternSpec, span: int) -> sigregex.Automaton:
+    """The words of height at most ``span`` with no nonempty factor in the
+    language, as a deterministic automaton.  A state pairs the runs of
+    :func:`_avoids` with the height levels still possible; a letter that
+    lets a run accept, or leaves no level, has no arc."""
+    aut, heights = spec.aut, sigregex.bounded_height_automaton(span)
+    keys = [(0, heights.initial)]
+    index = {keys[0]: 0}
+    arcs: dict[str, list[tuple[int, int]]] = {ch: [] for ch in ALPHABET}
+    for at, (runs, levels) in enumerate(keys):
+        for ch in ALPHABET:
+            key = (aut.step(runs | aut.initial, ch),
+                   heights.step(levels, ch))
+            if key[1] and not key[0] & aut.accepting:
+                if key not in index:
+                    index[key] = len(keys)
+                    keys.append(key)
+                arcs[ch].append((at, index[key]))
+    return sigregex.Automaton(len(keys), 1, (1 << len(keys)) - 1, arcs)
+
+
 @lru_cache(maxsize=None)
 def _shortest_supportable(spec: PatternSpec, span: int) -> Optional[int]:
     """Length of a shortest nonempty language word of height <= span."""

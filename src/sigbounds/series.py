@@ -8,10 +8,13 @@ feature is read off the covered values, and :func:`aggregate` combines the
 feature values.
 
 The maximal matches come from one backward pass over the signature that
-keeps, per automaton state, the furthest end of an accepted run, updated
-through the automaton's arcs for each letter, followed by a running maximum
-over the starts: linear in the signature length, whatever the number of
-state sets a deterministic reading would visit.
+keeps, per automaton state, the furthest end of an accepted run, followed
+by a running maximum over the starts.  The pass reads each letter with one
+lookup in a lazily built table of row types, the rows up to the values of
+their ends, kept on the automaton and capped at ``MAX_ROW_TYPES``; a word
+that needs one more type finishes on the automaton's arcs.  Either way the
+pass is linear in the signature length, whatever the number of state sets
+a deterministic reading would visit.
 """
 
 from __future__ import annotations
@@ -187,15 +190,8 @@ class Occurrence:
 def signature(t: TimeSeries | Sequence[int]) -> str:
     """The comparison word of a series; empty for a single value."""
     vals = list(t)
-    out = []
-    for x, y in zip(vals, vals[1:]):
-        if x < y:
-            out.append(LT)
-        elif x == y:
-            out.append(EQ)
-        else:
-            out.append(GT)
-    return "".join(out)
+    return "".join([LT if x < y else EQ if x == y else GT
+                    for x, y in zip(vals, vals[1:])])
 
 
 def word_height(word: str) -> int:
@@ -240,50 +236,151 @@ def _least_support(word: str, d: Domain) -> Optional[TimeSeries]:
     return TimeSeries(tuple(vals)) if max(vals) <= d.hi else None
 
 
-def maximal_occurrences(spec: PatternSpec, s: str) -> list[Occurrence]:
-    """Matches not strictly contained in another match, sorted by position.
+# The most row types one automaton tables for the scan: a language whose
+# rows keep changing (a union of cycles of coprime lengths) would otherwise
+# grow the table with the word.  The catalogue needs at most 30.
+MAX_ROW_TYPES = 256
 
-    One backward pass finds the longest nonempty match from every start:
-    ``far[q]`` is the furthest end of a run that starts in state ``q`` at
-    the current position and stops in an accepting state, or -1.  Only the
-    longest match from a start can be maximal, and it is maximal iff it
-    ends beyond the longest match of every earlier start, which a forward
-    running maximum decides.  Time O(|s| * arcs), space O(|s|).
+
+class _TableFull(Exception):
+    """The scan needs a row type that a full table lacks."""
+
+
+class _RowTable(dict):
+    """The row types of one automaton's scan by key, filed as scans meet
+    them, and what building them reads of the automaton."""
+
+    __slots__ = ("aut", "accepting", "initial", "spare", "start")
+
+    def __init__(self, aut: Automaton):
+        self.aut = aut
+        self.accepting = list(states_of(aut.accepting))
+        self.initial = list(states_of(aut.initial))
+        self.spare = aut.n_states + 1
+        held = tuple(aut.accepting >> q & 1 for q in range(aut.n_states))
+        key = (held, (1,) if aut.accepting else (), self.spare)
+        best = 1 if aut.initial & aut.accepting else 0
+        self.start = self[key] = _RowType(self, *key, best)
+
+
+class _RowType(dict):
+    """A backward scan row up to the values of its ends, and the type each
+    letter read so far leads to, filed on first use.
+
+    The scan keeps the row's distinct ends in registers, a list ``regs``
+    whose register 0 holds -1: state q's end is ``regs[held[q]]``, and
+    ``order`` lists the live registers, furthest end first.  The letter
+    that leads here makes its position an end in register ``new`` (the
+    spare last register when no empty run ends there), and ``regs[best]``
+    is the end of the longest nonempty match from that position, or -1.
     """
-    check_word(s)
-    aut = spec.aut
-    arcs, n_states = aut.arcs, aut.n_states
-    initial = list(states_of(aut.initial))
-    accepting = list(states_of(aut.accepting))
-    m = len(s)
-    far = [-1] * n_states
+
+    __slots__ = ("table", "held", "order", "new", "best")
+
+    def __init__(self, table: _RowTable, held: tuple[int, ...],
+                 order: tuple[int, ...], new: int, best: int):
+        self.table, self.held, self.order = table, held, order
+        self.new, self.best = new, best
+
+    def __missing__(self, letter: str) -> "_RowType":
+        table, order = self.table, self.order
+        # the exact step at position 0 on a row whose registers hold
+        # k, ..., 1 in order; back[v] is the register of value v after it
+        value = dict(zip(order, range(len(order), 0, -1)))
+        value[0] = -1
+        far = _far_step(table.aut, table.accepting,
+                        list(map(value.__getitem__, self.held)), 0, letter)
+        live = set(far)
+        kept = tuple([r for r in order if value[r] in live])
+        new = table.spare
+        if 0 in live:
+            new = 1
+            while new in kept:
+                new += 1
+            kept += (new,)
+        back = [new, *reversed(order), 0]
+        key = (tuple(map(back.__getitem__, far)), kept, new)
+        node = table.get(key)
+        if node is None:
+            if len(table) >= MAX_ROW_TYPES:
+                raise _TableFull
+            # an empty run matched nothing, so the new end never counts
+            e = max(map(far.__getitem__, table.initial))
+            node = table[key] = _RowType(table, *key, back[e] if e > 0 else 0)
+        self[letter] = node
+        return node
+
+
+def _far_step(aut: Automaton, accepting: list[int], far: list[int], i: int,
+              letter: str) -> list[int]:
+    """The scan row before 0-based position ``i`` from the row after it,
+    reading ``letter`` there: an accepting state ends an empty run at i,
+    and each arc carries its target's end back."""
+    nxt = [-1] * aut.n_states
     for q in accepting:
-        far[q] = m
+        nxt[q] = i
+    for q, r in aut.arcs[letter]:
+        if far[r] > nxt[q]:
+            nxt[q] = far[r]
+    return nxt
+
+
+def _maximal_spans(aut: Automaton, s: str) -> list[tuple[int, int]]:
+    """The 1-based (i, j) of the maximal matches of ``aut`` in ``s``, by
+    position; see :func:`maximal_occurrences`."""
+    m = len(s)
+    table = aut._scan_rows
+    if table is None:
+        table = aut._scan_rows = _RowTable(aut)
+    node = table.start
+    regs = [-1] * (aut.n_states + 2)
+    regs[1] = m
     # ends[i]: 1-based end of the longest match starting at i + 1, or -1
     ends = [-1] * m
     i = m
-    for ch in reversed(s):
-        i -= 1
-        nxt = [-1] * n_states
-        for q in accepting:
-            nxt[q] = i
-        for q, r in arcs[ch]:
-            if far[r] > nxt[q]:
-                nxt[q] = far[r]
-        far = nxt
-        # a run from an initial state ending at i itself matched nothing
-        e = -1
-        for q in initial:
-            if far[q] > e:
-                e = far[q]
-        ends[i] = e if e > i else -1
+    try:
+        for ch in reversed(s):
+            i -= 1
+            node = node[ch]
+            regs[node.new] = i
+            ends[i] = regs[node.best]
+    except _TableFull:
+        far = [regs[r] for r in node.held]
+        for i in range(i, -1, -1):
+            far = _far_step(aut, table.accepting, far, i, s[i])
+            e = max(map(far.__getitem__, table.initial))
+            ends[i] = e if e > i else -1
     out = []
     reach = -1
     for i, e in enumerate(ends, 1):
         if e > reach:
-            out.append(Occurrence(i, e))
+            out.append((i, e))
             reach = e
     return out
+
+
+def maximal_occurrences(spec: PatternSpec, s: str) -> list[Occurrence]:
+    """Matches not strictly contained in another match, sorted by position.
+
+    One backward pass finds the longest nonempty match from every start:
+    the scan row holds, per automaton state, the furthest end of a run
+    that starts there at the current position and stops in an accepting
+    state.  Only the longest match from a start can be maximal, and it is
+    maximal iff it ends beyond the longest match of every earlier start,
+    which a forward running maximum decides.
+
+    The row is read as its type (:class:`_RowType`), which says which
+    register holds each state's end, in what order the registers' ends
+    lie and which register the position just read joined, plus the
+    registers themselves, so a letter costs one table lookup and one
+    register write.  The types form a lazily determinised automaton kept
+    on ``spec.aut``: each (type, letter) transition is built once, in
+    O(arcs), and at most ``MAX_ROW_TYPES`` types are filed.  A scan that
+    needs one more finishes its word on the automaton's arcs, at O(arcs)
+    per letter, as an untabled scan would.  Space O(|s|).
+    """
+    check_word(s)
+    return [Occurrence(i, j) for i, j in _maximal_spans(spec.aut, s)]
 
 
 def _scan_stepper(spec: PatternSpec, m: int, span: int):
@@ -349,16 +446,22 @@ def _signature_levels(spec: PatternSpec, m: int, span: int,
 def feature_of(spec: PatternSpec, f: Feature, t: TimeSeries,
                occ: Occurrence) -> int:
     """Value of one feature on one trimmed occurrence."""
-    lo, hi = occ.trimmed(spec.a, spec.b)
+    return _feature(spec, f, t.values, occ.i, occ.j)
+
+
+def _feature(spec: PatternSpec, f: Feature, values: tuple[int, ...],
+             i: int, j: int) -> int:
+    """:func:`feature_of` on the occurrence (i, j) of a series' values."""
+    lo, hi = i + spec.b, j + 1 - spec.a
     if lo > hi:
         raise EmptyPatternError(
-            f"occurrence ({occ.i},{occ.j}) of {spec.name} trims to nothing"
+            f"occurrence ({i},{j}) of {spec.name} trims to nothing"
         )
     if f is Feature.ONE:
         return 1
     if f is Feature.WIDTH:
         return hi - lo + 1
-    window = t.values[lo - 1:hi]
+    window = values[lo - 1:hi]
     if f is Feature.MAX:
         return max(window)
     if f is Feature.MIN:
@@ -391,8 +494,9 @@ def evaluate(
 
     With no occurrence the aggregator's entry in ``DEFAULTS`` applies.
     """
-    occs = maximal_occurrences(spec, signature(t))
-    return aggregate(g, [feature_of(spec, f, t, o) for o in occs])
+    vals = t.values
+    return aggregate(g, [_feature(spec, f, vals, i, j) for i, j
+                         in _maximal_spans(spec.aut, signature(vals))])
 
 
 def enumerate_series(n: int, d: Domain) -> Iterator[TimeSeries]:

@@ -6,6 +6,7 @@ import pytest
 
 from sigbounds import bounds as bd
 from sigbounds.bounds import BoundResult, Side
+from sigbounds.oracle import brute_extrema
 from sigbounds.series import Aggregator, Domain, Feature, PatternSpec
 
 PEAK = PatternSpec("peak", "<(<|=)*(>|=)*>", a=1, b=1)
@@ -48,6 +49,23 @@ class TestOccurrenceCount:
     def test_lower_is_zero_when_avoidable(self):
         r = bd.nb_lower(PEAK, 5, Domain(0, 1))
         assert (r.value, r.sharp, r.source) == (0, True, "nb-simple-lower")
+
+    def test_lower_zero_needs_a_signature_without_occurrence(self):
+        # nb-simple holds, yet over 0:1 every series of four to six values
+        # has an occurrence, so zero is claimed only up to n = 3
+        spec = PatternSpec("raw", "=*=?(>=)*(<>)*")
+        d = Domain(0, 1)
+        for n in range(2, 7):
+            brute = brute_extrema(spec, Feature.ONE, Aggregator.SUM, n, d)
+            if n <= 3:
+                r = bd.nb_lower(spec, n, d)
+                assert (r.value, r.sharp, brute.min_all) == (0, True, 0)
+            else:
+                assert brute.min_all > 0
+                with pytest.raises(bd.NotApplicableError,
+                                   match=f"every series of length {n} over "
+                                         "0:1 has an occurrence"):
+                    bd.nb_lower(spec, n, d)
 
     def test_single_series_domain_counts_exactly(self):
         lo = bd.nb_lower(STEADY, 4, Domain(0, 0))

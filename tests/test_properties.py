@@ -50,6 +50,25 @@ class TestOccurrenceFeasible:
             assert pr.occurrence_feasible(spec, n, d) == found
 
 
+class TestOccurrenceAvoidable:
+    def test_matches_exhaustive_search(self):
+        from sigbounds.series import enumerate_series, maximal_occurrences, \
+            signature
+        # "=|<>" is avoided over 0:1 only by signatures starting with ">"
+        exprs = raw_universe()[::17] + ["=*=?(>=)*(<>)*", "=|<>", "0", "1"]
+        for expr in exprs:
+            spec = PatternSpec(expr, expr)
+            for span in (0, 1, 2):
+                d = Domain(0, span)
+                for n in range(2, 6):
+                    found = any(
+                        not maximal_occurrences(spec, signature(t))
+                        for t in enumerate_series(n, d)
+                    )
+                    assert pr.occurrence_avoidable(spec, n, d) == found, (
+                        expr, n, d)
+
+
 class TestMinimalWords:
     def test_shortest_words_of_least_height(self):
         assert pr.minimal_words(PEAK) == ("<>",)

@@ -13,6 +13,7 @@ from helpers import (
     iter_supporting_series,
     naive_match_spans,
     naive_maximal_occurrences,
+    raw_universe,
     supporting_series,
 )
 from sigbounds import catalogue as cat
@@ -157,6 +158,53 @@ class TestScanMatchesDefinition:
                 naive_maximal_occurrences(spec, w), w
 
 
+# (<^p)* for the primes to 17: the scan rows repeat only after 510,510
+# letters, so a long run of "<" keeps meeting new row types
+PRIME_CYCLES = "|".join(f"({'<' * p})*" for p in (2, 3, 5, 7, 11, 13, 17))
+
+
+class TestTabledScan:
+    """The row-type table, built afresh for each automaton, against the
+    quadratic definition."""
+
+    def test_fresh_tables_match_definition(self):
+        rng = random.Random(1961)
+        raw = raw_universe()
+        exprs = rng.sample(raw, 12) + [
+            f"{rng.choice(raw)}|{rng.choice(raw)}" for _ in range(8)]
+        # on "<" the rows of "<*" and "(<|=)*" come back to the start type
+        for expr in exprs + ["0", "1", "<*", "(<|=)*"]:
+            spec = PatternSpec("fresh", expr)
+            for w in SHORT_WORDS + LONG_WORDS:
+                assert se.maximal_occurrences(spec, w) == \
+                    naive_maximal_occurrences(spec, w), (expr, w)
+
+    def test_full_table_finishes_on_the_exact_step(self, monkeypatch):
+        positions = []
+        exact = se._far_step
+
+        def spy(aut, accepting, far, i, letter):
+            positions.append(i)
+            return exact(aut, accepting, far, i, letter)
+
+        monkeypatch.setattr(se, "_far_step", spy)
+        spec = PatternSpec("cycles", PRIME_CYCLES)
+        n = se.MAX_ROW_TYPES + 40
+        for w in ("<" * n, "=<" + "<" * n + ">"):
+            positions.clear()
+            assert se.maximal_occurrences(spec, w) == \
+                naive_maximal_occurrences(spec, w), w
+            # table builds step at position 0, the fallback mid-word
+            assert max(positions) > 0
+        assert len(spec.aut._scan_rows) == se.MAX_ROW_TYPES
+
+    def test_row_table_stays_bounded(self):
+        spec = PatternSpec("cycles", PRIME_CYCLES)
+        assert se.maximal_occurrences(spec, "<" * 100_000) == [
+            Occurrence(1, 100_000)]
+        assert len(spec.aut._scan_rows) <= se.MAX_ROW_TYPES
+
+
 class TestLongSeries:
     """Inputs on which a quadratic scan would run for hours."""
 
@@ -213,6 +261,17 @@ class TestEvaluate:
         assert se.evaluate(GORGE, Feature.MAX, Aggregator.MAX, t) == 1
         assert se.evaluate(GORGE, Feature.SURF, Aggregator.SUM, t) == 2
 
+    def test_each_trim_cuts_its_own_end(self):
+        # b trims from the left of the variables 1..4 of "<<<", a from
+        # the right
+        t = TimeSeries((0, 1, 2, 3))
+        for a, b, window in ((0, 2, (2, 3)), (2, 0, (0, 1)), (1, 2, (2,))):
+            spec = PatternSpec("up3", "<<<", a=a, b=b)
+            assert se.evaluate(spec, Feature.SURF, Aggregator.SUM, t) == \
+                sum(window)
+            assert se.feature_of(spec, Feature.MIN, t, Occurrence(1, 3)) \
+                == min(window)
+
     def test_defaults_when_nothing_matches(self):
         flat = TimeSeries((1, 1, 1))
         assert se.evaluate(PEAK, Feature.WIDTH, Aggregator.MAX, flat) == 0
@@ -235,6 +294,38 @@ class TestEvaluate:
         assert se.DEFAULTS[Aggregator.MAX] == 0
         assert se.DEFAULTS[Aggregator.MIN] == math.inf
         assert set(se.DEFAULTS) == set(Aggregator)
+
+
+class TestEvaluateMatchesDefinition:
+    """``evaluate`` against ``aggregate`` over ``feature_of`` on the
+    quadratic definition of the maximal occurrences."""
+
+    @pytest.mark.parametrize("spec", SCAN_SPECS, ids=lambda s: s.name)
+    def test_every_aggregator_and_feature(self, spec):
+        trimmed = [spec] + [PatternSpec(spec.name, spec.expr, a, b)
+                            for a, b in ((1, 0), (0, 1), (1, 2))]
+        for seed in range(3):
+            t = _walk(60, seed)
+            for sp in trimmed:
+                occs = naive_maximal_occurrences(sp, se.signature(t))
+                for g, f in itertools.product(Aggregator, Feature):
+                    try:
+                        want = se.aggregate(
+                            g, [se.feature_of(sp, f, t, o) for o in occs])
+                    except EmptyPatternError as e:
+                        with pytest.raises(EmptyPatternError) as got:
+                            se.evaluate(sp, f, g, t)
+                        assert str(got.value) == str(e)
+                    else:
+                        assert se.evaluate(sp, f, g, t) == want
+
+    def test_over_trimmed_occurrence_is_an_error(self):
+        sharp = PatternSpec("sharp", "<", a=1, b=1)
+        with pytest.raises(EmptyPatternError,
+                           match=r"^occurrence \(2,2\) of sharp trims to "
+                                 "nothing$"):
+            se.evaluate(sharp, Feature.ONE, Aggregator.SUM,
+                        TimeSeries((1, 1, 2)))
 
 
 class TestSupportingSeries:
