@@ -11,7 +11,8 @@ variation measures how the maxima of glued patterns must differ.
 
 Overlap and variation quantify over all pairs of language words, so they are
 computed under a length cap with a stability probe: a value is reported as
-settled only if enlarging the cap does not change it.  The overlap never
+settled only if enlarging the cap does not change it.  One walk to cap + 2
+letters answers the probes at cap, cap + 1 and cap + 2.  The overlap never
 meets a word pair: it decides each seam length on classes of words, the
 automaton states a word reaches or accepts from and its runs of climbs and
 drops.  Both read the domain only through its span, so each is computed
@@ -33,7 +34,7 @@ from .series import (
     Domain,
     PatternSpec,
     _least_support,
-    maximal_occurrences,
+    _maximal_spans,
     word_height,
 )
 from .sigregex import GT, LT, bounded_height_automaton, check_word
@@ -292,18 +293,20 @@ def superpositions(spec: PatternSpec, v: str, w: str, d: Domain) -> list[str]:
             raise WordNotInLanguageError(
                 f"{word!r} is not in the language of {spec.name}"
             )
-    span = d.span
+    return _glue(spec, v, w, d.span)
+
+
+def _glue(spec: PatternSpec, v: str, w: str, span: int) -> list[str]:
+    """The superpositions of two words already known to be in the
+    language.  Overlays come one per length, shortest first, so the list is
+    in canonical order."""
     out = []
     for k in range(min(len(v), len(w)), -1, -1):
         if k and v[-k:] != w[:k]:
             continue
         z = v + w[k:]
-        if spec.aut.accepts(z):
-            continue
-        if word_height(z) > span:
-            continue
-        out.append(z)
-    out.sort(key=sigregex.word_key)
+        if not spec.aut.accepts(z) and word_height(z) <= span:
+            out.append(z)
     return out
 
 
@@ -321,8 +324,9 @@ def overlap_of_words(spec: PatternSpec, v: str, w: str, d: Domain) -> int:
 
 
 @lru_cache(maxsize=None)
-def _max_overlap(spec: PatternSpec, span: int, cap: int) -> int:
-    """Maximum of overlap_of_words over all word pairs up to the cap.
+def _max_overlaps(spec: PatternSpec, span: int, top: int) -> tuple[int, ...]:
+    """Maximum of overlap_of_words over all word pairs up to each cap
+    0 .. top, indexed by the cap, from one walk to top letters.
 
     Overlap k + 1 needs words v, w with v ending in the k letters w starts
     with, such that v + w[k:] leaves the language and stays supportable.
@@ -331,15 +335,18 @@ def _max_overlap(spec: PatternSpec, span: int, cap: int) -> int:
     r = w[k:] by the states it accepts from (read backwards on the
     reversal) and the same counts on its leading runs.  v + r leaves the
     language iff the two sets are disjoint; its height is the largest of
-    those of v and r and of the two sums.
+    those of v and r and of the two sums.  A class keeps the fewest letters
+    of its words, and a compatible pair counts from the cap fitting both.
     """
+    best = [0] * (top + 1)
     if span < height(spec):
-        return 0
+        return tuple(best)
     aut, back = spec.aut, spec.aut.reversal()
-    lefts, rights = defaultdict(set), defaultdict(set)
-    for w, after in aut._prefixes(cap):
-        if not (w and after & aut.accepting):
-            continue
+    lefts, rights = defaultdict(dict), defaultdict(dict)
+    # shortest first, so a class keeps the first length it meets
+    for w, after in sorted(((w, after) for w, after in aut._prefixes(top)
+                            if w and after & aut.accepting),
+                           key=lambda pair: len(pair[0])):
         # rests w[k:] from one letter up, as the empty one leaves v in L
         co, climbs, drops = back.initial, 0, 0
         for k in range(len(w) - 1, -1, -1):
@@ -351,19 +358,27 @@ def _max_overlap(spec: PatternSpec, span: int, cap: int) -> int:
             if max(climbs, drops) > span:
                 break
             co = back.step(co, letter)
-            rights[w[:k]].add((co, climbs, drops))
+            rights[w[:k]].setdefault((co, climbs, drops), len(w))
         else:
             left = (after, w.rpartition(GT)[2].count(LT),
                     w.rpartition(LT)[2].count(GT))
             for k in range(len(w) + 1):
-                lefts[w[len(w) - k:]].add(left)
+                lefts[w[len(w) - k:]].setdefault(left, len(w))
+    # seams longest first, until every cap from the width on is answered
+    low, omega = top + 1, width(spec)
     for seam in sorted(lefts.keys() & rights.keys(), key=len, reverse=True):
-        for after, climbs, drops in lefts[seam]:
-            for co, lead_climbs, lead_drops in rights[seam]:
-                if (not after & co and climbs + lead_climbs <= span
+        if low <= omega:
+            break
+        need = low
+        for (after, climbs, drops), lv in lefts[seam].items():
+            for (co, lead_climbs, lead_drops), lr in rights[seam].items():
+                if (max(lv, lr) < need and not after & co
+                        and climbs + lead_climbs <= span
                         and drops + lead_drops <= span):
-                    return len(seam) + 1
-    return 0
+                    need = max(lv, lr)
+        best[need:low] = [len(seam) + 1] * (low - need)
+        low = need
+    return tuple(best)
 
 
 def _stabilize(measure: Callable[[int], Optional[int]],
@@ -396,7 +411,7 @@ def overlap(spec: PatternSpec, d: Domain, cap: Optional[int] = None) -> CharValu
 
 @lru_cache(maxsize=None)
 def _overlap(spec: PatternSpec, span: int, cap: int) -> CharValue:
-    return _stabilize(lambda c: _max_overlap(spec, span, c), cap)
+    return _stabilize(_max_overlaps(spec, span, cap + 2).__getitem__, cap)
 
 
 # --------------------------------------------------------------------------
@@ -437,8 +452,8 @@ def _shifts(spec: PatternSpec, z: str) -> list[tuple[str, int]]:
     its shift, the least of the mirrored least series over its extended
     span: one occurrence scan and one least series serve them all."""
     least = _least_support(z.translate(_MIRROR), Domain(0, word_height(z)))
-    return [(z[o.i - 1:o.j], min(least.values[o.i - 1:o.j + 1]))
-            for o in maximal_occurrences(spec, z)]
+    return [(z[i - 1:j], min(least.values[i - 1:j + 1]))
+            for i, j in _maximal_spans(spec.aut, z)]
 
 
 def _shift_gap(spec: PatternSpec, z: str, v: str, w: str) -> Optional[int]:
@@ -481,9 +496,12 @@ def _least_variation(vals: list[int]) -> Optional[int]:
 
 
 @lru_cache(maxsize=None)
-def _variation_at(spec: PatternSpec, span: int, cap: int) -> Optional[int]:
-    """Smallest-magnitude variation over overlapping pairs at one cap, or
-    None when both a positive and a negative variation occur.
+def _variations(spec: PatternSpec, span: int,
+                cap: int) -> tuple[Optional[int], ...]:
+    """Smallest-magnitude variation over overlapping pairs at the caps
+    cap, cap + 1 and cap + 2, each None when both a positive and a
+    negative variation occur, from one pass over the pairs of words up to
+    cap + 2 letters: a pair counts from the cap fitting its longer word.
 
     Only a word without ``>`` can open a positive variation, and only a
     word without ``<`` can close a negative one: a strict letter inside the
@@ -492,27 +510,28 @@ def _variation_at(spec: PatternSpec, span: int, cap: int) -> Optional[int]:
     to zero.  Pairs where both strict letters are present therefore vary by
     exactly 0, and it suffices to find one such pair that overlaps at all.
     """
-    if _max_overlap(spec, span, cap) == 0:
-        return 0
-    d = Domain(0, span)
-    words = [u for u in spec.aut.words_up_to(cap) if u]
+    top = cap + 2
+    if _max_overlaps(spec, span, top)[top] == 0:
+        return (0, 0, 0)
+    words = [u for u in spec.aut.words_up_to(top) if u]
     no_gt = [u for u in words if GT not in u]
+    has_gt = [u for u in words if GT in u]
     no_lt = [u for u in words if LT not in u]
-    vals: list[int] = []
-    seen: set[tuple[str, str]] = set()
-    for v, w in chain(product(no_gt, words), product(words, no_lt)):
-        if (v, w) in seen:
-            continue
-        seen.add((v, w))
-        zs = superpositions(spec, v, w, d)
+    tagged: list[tuple[int, int]] = []
+    for v, w in chain(product(no_gt, words), product(has_gt, no_lt)):
+        zs = _glue(spec, v, w, span)
         if zs:
-            vals.append(_pair_variation(spec, v, w, zs))
-    best = _least_variation(vals)
-    if best and any(superpositions(spec, v, w, d)
-                    for v, w in product(words, words)
-                    if GT in v and LT in w and (v, w) not in seen):
-        return 0
-    return best
+            tagged.append((max(len(v), len(w)),
+                           _pair_variation(spec, v, w, zs)))
+    out = []
+    for c in range(cap, top + 1):
+        best = _least_variation([x for need, x in tagged if need <= c])
+        if best and any(_glue(spec, v, w, span)
+                        for v, w in product(has_gt, words)
+                        if LT in w and len(v) <= c and len(w) <= c):
+            best = 0
+        out.append(best)
+    return tuple(out)
 
 
 def smallest_variation(
@@ -528,7 +547,8 @@ def smallest_variation(
 
 @lru_cache(maxsize=None)
 def _smallest_variation(spec: PatternSpec, span: int, cap: int) -> CharValue:
-    return _stabilize(lambda c: _variation_at(spec, span, c), cap)
+    vals = _variations(spec, span, cap)
+    return _stabilize(lambda c: vals[c - cap], cap)
 
 
 # --------------------------------------------------------------------------

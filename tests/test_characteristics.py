@@ -308,8 +308,8 @@ class TestSmallestVariation:
 
 
 class TestSpanKey:
-    CACHED = (ch._overlap, ch._smallest_variation, ch._max_overlap,
-              ch._variation_at)
+    CACHED = (ch._overlap, ch._smallest_variation, ch._max_overlaps,
+              ch._variations)
 
     @pytest.mark.parametrize("entry", cat.all_entries(), ids=lambda e: e.name)
     def test_shifted_domain_and_cold_cache_agree(self, entry):

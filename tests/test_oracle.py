@@ -281,6 +281,26 @@ class TestRawCharacteristics:
                     assert ch.overlap(spec, d, cap) == \
                         orc.brute_overlap(spec, d, cap), (e, span, cap)
 
+    def test_each_probe_cap_matches_pair_by_pair(self):
+        # one walk to cap + 2 answers cap, cap + 1 and cap + 2: each entry
+        # against the pairs of words fitting that cap, at small caps where
+        # raw words run past it
+        starred = [e for e in raw_universe() if "*" in e][::4]
+        specs = ([e.spec for e in cat.all_entries()]
+                 + [PatternSpec(e, e) for e in starred])
+        budget = [orc.DEFAULT_BUDGET]
+        for spec in specs:
+            least = max(0, ch.width(spec) - 2)
+            for span, cap in itertools.product((1, 2, 3), (least, least + 1)):
+                d = Domain(0, span)
+                overlaps = ch._max_overlaps(spec, span, cap + 2)
+                variations = ch._variations(spec, span, cap)
+                for c in range(cap, cap + 3):
+                    assert overlaps[c] == orc._all_pairs_overlap(
+                        spec, d, c, budget), (spec.name, span, c)
+                    assert variations[c - cap] == orc._all_pairs_variation(
+                        spec, d, c, budget), (spec.name, span, c)
+
     def test_budget_applies_to_gluing_search(self):
         with pytest.raises(orc.BudgetExceededError):
             orc.brute_overlap(PEAK, Domain(0, 1), budget=5)
