@@ -13,16 +13,16 @@ Overlap and variation quantify over all pairs of language words, so they are
 computed under a length cap with a stability probe: a value is reported as
 settled only if enlarging the cap does not change it.  One walk to cap + 2
 letters answers the probes at cap, cap + 1 and cap + 2.  The overlap never
-meets a word pair: it decides each seam length on classes of words, the
-automaton states a word reaches or accepts from and its runs of climbs and
-drops.  Both read the domain only through its span, so each is computed
-once per (pattern, span, cap) and cached, like the plain language measures.
+lists a word: it walks classes of words, the automaton states a word
+reaches or accepts from with its runs of climbs and drops, and decides
+each seam length on pairs of classes.  Both read the domain only through
+its span, so each is computed once per (pattern, span, cap) and cached,
+like the plain language measures.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -37,7 +37,7 @@ from .series import (
     _maximal_spans,
     word_height,
 )
-from .sigregex import GT, LT, bounded_height_automaton, check_word
+from .sigregex import EQ, GT, LT, bounded_height_automaton, check_word
 
 
 class CharacteristicsError(Exception):
@@ -324,60 +324,89 @@ def overlap_of_words(spec: PatternSpec, v: str, w: str, d: Domain) -> int:
 
 
 @lru_cache(maxsize=None)
+def _run_moves(span: int) -> list[list[tuple[tuple[str, int, int], ...]]]:
+    """By climbs, then drops, of a run: each letter that keeps it within
+    the span, with the run it makes.  ``=`` keeps a run, ``<`` and ``>``
+    add to theirs and end the other."""
+    return [[tuple(m for m in ((LT, c + 1, 0), (EQ, c, d), (GT, 0, d + 1))
+                   if m[1] <= span >= m[2]) for d in range(span + 1)]
+            for c in range(span + 1)]
+
+
+def _classes(aut: sigregex.Automaton, span: int, top: int
+             ) -> tuple[list[tuple[int, int, int, int]], list[dict]]:
+    """The classes of the words of at most top letters read from
+    aut.initial: the states a word reaches, the climbs (drops) of its
+    longest suffix free of ``>`` (``<``) and the fewest letters of a word
+    in it.  Breadth first, from the empty word at index 0; a word whose
+    states empty or whose run passes the span is dropped.  Also the moves
+    of each class of fewer than top letters, letter to class index."""
+    # a set holding no state with an arc on a letter is not stepped on it
+    sources = {letter: sum({1 << q for q, _ in pairs})
+               for letter, pairs in aut.arcs.items()}
+    runs, classes, moves = _run_moves(span), [(aut.initial, 0, 0, 0)], []
+    index = {classes[0][:3]: 0}
+    for states, climbs, drops, size in classes:
+        if size == top:
+            break
+        moves.append({})
+        for letter, c, d in runs[climbs][drops]:
+            if states & sources[letter]:
+                key = (aut.step(states, letter), c, d)
+                if key not in index:
+                    index[key] = len(classes)
+                    classes.append(key + (size + 1,))
+                moves[-1][letter] = index[key]
+    return classes, moves
+
+
+@lru_cache(maxsize=None)
 def _max_overlaps(spec: PatternSpec, span: int, top: int) -> tuple[int, ...]:
     """Maximum of overlap_of_words over all word pairs up to each cap
-    0 .. top, indexed by the cap, from one walk to top letters.
+    0 .. top, indexed by the cap, from one walk over classes of words.
 
-    Overlap k + 1 needs words v, w with v ending in the k letters w starts
-    with, such that v + w[k:] leaves the language and stays supportable.
-    Each seam is decided on classes: v by the states it reaches and the
-    climbs (drops) of its longest suffix free of ``>`` (``<``), a rest
-    r = w[k:] by the states it accepts from (read backwards on the
-    reversal) and the same counts on its leading runs.  v + r leaves the
-    language iff the two sets are disjoint; its height is the largest of
-    those of v and r and of the two sums.  A class keeps the fewest letters
-    of its words, and a compatible pair counts from the cap fitting both.
+    Overlap k + 1 needs words v = u + x and w = x + r with a seam x of k
+    letters such that v + r leaves the language and stays supportable.
+    u counts by its class (:func:`_classes`), r by the class of its
+    reversal on ``aut.reversal()``: the states r accepts from and its
+    leading runs.  v + r leaves the language iff the states v reaches miss
+    those; its height is the largest of those of v and r and of the two
+    sums of runs.  Seams are walked by length as pairs of classes, of u + x
+    and of x, one per distinct pair with the fewest letters of u.  A pair
+    fitting a rest counts from the cap fitting both words.
     """
-    best = [0] * (top + 1)
-    if span < height(spec):
-        return tuple(best)
-    aut, back = spec.aut, spec.aut.reversal()
-    lefts, rights = defaultdict(dict), defaultdict(dict)
-    # shortest first, so a class keeps the first length it meets
-    for w, after in sorted(((w, after) for w, after in aut._prefixes(top)
-                            if w and after & aut.accepting),
-                           key=lambda pair: len(pair[0])):
-        # rests w[k:] from one letter up, as the empty one leaves v in L
-        co, climbs, drops = back.initial, 0, 0
-        for k in range(len(w) - 1, -1, -1):
-            letter = w[k]
-            if letter == LT:
-                climbs, drops = climbs + 1, 0
-            elif letter == GT:
-                climbs, drops = 0, drops + 1
-            if max(climbs, drops) > span:
-                break
-            co = back.step(co, letter)
-            rights[w[:k]].setdefault((co, climbs, drops), len(w))
-        else:
-            left = (after, w.rpartition(GT)[2].count(LT),
-                    w.rpartition(LT)[2].count(GT))
-            for k in range(len(w) + 1):
-                lefts[w[len(w) - k:]].setdefault(left, len(w))
-    # seams longest first, until every cap from the width on is answered
-    low, omega = top + 1, width(spec)
-    for seam in sorted(lefts.keys() & rights.keys(), key=len, reverse=True):
-        if low <= omega:
-            break
-        need = low
-        for (after, climbs, drops), lv in lefts[seam].items():
-            for (co, lead_climbs, lead_drops), lr in rights[seam].items():
-                if (max(lv, lr) < need and not after & co
-                        and climbs + lead_climbs <= span
-                        and drops + lead_drops <= span):
-                    need = max(lv, lr)
-        best[need:low] = [len(seam) + 1] * (low - need)
-        low = need
+    aut, best = spec.aut, [0] * (top + 1)
+    rests = _classes(aut.reversal(), span, top)[0]
+    lefts, moves = _classes(aut, span, top)
+    fitting: dict[int, list[tuple[int, int]]] = {}
+    pairs = {(left, 0): size for left, (_, _, _, size) in enumerate(lefts)}
+    depth = 0
+    while pairs and depth < top:
+        need, grown = top + 1, {}
+        for (left, seam), size in pairs.items():
+            ahead = moves[seam]
+            if not ahead:
+                continue  # no letter follows x, so no rest does
+            if size + depth < need:
+                if left not in fitting:
+                    # the rests that glue to v = u + x, shortest first
+                    after, climbs, drops, _ = lefts[left]
+                    fitting[left] = [
+                        (co, n) for co, c, d, n in rests
+                        if not co & after and climbs + c <= span
+                        and drops + d <= span] if after & aut.accepting else []
+                # the first that x + r accepts is the least
+                for co, n in fitting[left]:
+                    if co & lefts[seam][0]:
+                        need = min(need, depth + max(size, n))
+                        break
+            if size + depth < top:
+                # pairs come by the letters of u, so the first is the fewest
+                for letter, nxt in moves[left].items():
+                    if letter in ahead:
+                        grown.setdefault((nxt, ahead[letter]), size)
+        best[need:] = [depth + 1] * (top + 1 - need)
+        pairs, depth = grown, depth + 1
     return tuple(best)
 
 

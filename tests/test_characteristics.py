@@ -309,7 +309,7 @@ class TestSmallestVariation:
 
 class TestSpanKey:
     CACHED = (ch._overlap, ch._smallest_variation, ch._max_overlaps,
-              ch._variations)
+              ch._variations, ch._run_moves)
 
     @pytest.mark.parametrize("entry", cat.all_entries(), ids=lambda e: e.name)
     def test_shifted_domain_and_cold_cache_agree(self, entry):

@@ -281,6 +281,41 @@ class TestRawCharacteristics:
                     assert ch.overlap(spec, d, cap) == \
                         orc.brute_overlap(spec, d, cap), (e, span, cap)
 
+    def test_overlap_at_every_cap_matches_pair_by_pair(self):
+        # the class walk to top letters against every word pair at each cap
+        # up to top, at spans 0 to 4, below and above the patterns' heights
+        starred = [e for e in raw_universe() if "*" in e][::4]
+        specs = ([e.spec for e in cat.all_entries()]
+                 + [PatternSpec(e, e)
+                    for e in starred + _two_branch_unions(6, 60)])
+        budget = [orc.DEFAULT_BUDGET]
+        for spec in specs:
+            least = max(0, ch.width(spec) - 2)
+            for span in range(5):
+                want = tuple(orc._all_pairs_overlap(spec, Domain(0, span), c,
+                                                    budget)
+                             for c in range(least + 5))
+                for top in range(least + 2, least + 5):
+                    assert ch._max_overlaps(spec, span, top) \
+                        == want[:top + 1], (spec.name, span, top)
+
+    def test_overlap_walks_classes_not_words(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("words were listed")
+
+        zigzag = PatternSpec("(><)*<(<>)*>?", "(><)*<(<>)*>?")
+        ch._max_overlaps.cache_clear()
+        monkeypatch.setattr(sr.Automaton, "_prefixes", refused)
+        monkeypatch.setattr(sr.Automaton, "words_up_to", refused)
+        assert ch._max_overlaps(PEAK, 3, 30) == (0, 0) + (1,) * 29
+        # the overlap grows by two every two letters of cap: unbounded
+        got = ch._max_overlaps(zigzag, 2, 11)[4:]
+        assert got == (4, 4, 4, 6, 6, 8, 8, 10)
+        monkeypatch.undo()
+        assert got == tuple(orc._all_pairs_overlap(zigzag, Domain(0, 2), c,
+                                                   [orc.DEFAULT_BUDGET])
+                            for c in range(4, 12))
+
     def test_each_probe_cap_matches_pair_by_pair(self):
         # one walk to cap + 2 answers cap, cap + 1 and cap + 2: each entry
         # against the pairs of words fitting that cap, at small caps where
