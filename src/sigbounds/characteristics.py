@@ -16,8 +16,8 @@ letters answers the probes at cap, cap + 1 and cap + 2.  The overlap never
 lists a word: it walks classes of words, the automaton states a word
 reaches or accepts from with its runs of climbs and drops, and decides
 each seam length on pairs of classes.  Both read the domain only through
-its span, so each is computed once per (pattern, span, cap) and cached,
-like the plain language measures.
+its span, so each walk is made once per (pattern, span, cap) and kept, like
+the plain language measures, in the pattern's memo, freed with the pattern.
 """
 
 from __future__ import annotations
@@ -30,13 +30,8 @@ from itertools import chain, islice, product
 from typing import Callable, Iterable, Optional
 
 from . import sigregex
-from .series import (
-    Domain,
-    PatternSpec,
-    _least_support,
-    _maximal_spans,
-    word_height,
-)
+from .series import (Domain, PatternSpec, _least_support, _maximal_spans,
+                     _memoized, word_height)
 from .sigregex import EQ, GT, LT, bounded_height_automaton, check_word
 
 
@@ -128,7 +123,7 @@ class CharValue:
 # --------------------------------------------------------------------------
 # Plain language measures
 
-@lru_cache(maxsize=None)
+@_memoized
 def width(spec: PatternSpec) -> int:
     """Length of a shortest nonempty word of the language."""
     w = spec.aut.shortest_nonempty_length()
@@ -139,18 +134,13 @@ def width(spec: PatternSpec) -> int:
     return w
 
 
-@lru_cache(maxsize=32)
+@_memoized
 def _supportable(spec: PatternSpec, h: int) -> sigregex.Automaton:
-    """The language restricted to words of height at most h.
-
-    One pattern's analysis asks for a few heights in a row, so a short
-    cache serves it; an unbounded one would keep every product of every
-    pattern ever analysed.
-    """
+    """The language restricted to words of height at most h."""
     return spec.aut.intersect(bounded_height_automaton(h))
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def height(spec: PatternSpec) -> int:
     """Smallest h such that some language word has height h.
 
@@ -200,7 +190,7 @@ def _non_monotone() -> sigregex.Automaton:
         "(<|=|>)*(=|<(<|=|>)*>|>(<|=|>)*<)(<|=|>)*"))
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def range_params(spec: PatternSpec) -> Optional[tuple[int, int]]:
     """The affine template e*(n - 1 - eta) + c + eta the range follows at
     every n >= omega + 2, decided exactly, or None when none holds.
@@ -222,7 +212,7 @@ def range_params(spec: PatternSpec) -> Optional[tuple[int, int]]:
     return None
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def branch_specs(spec: PatternSpec) -> tuple[PatternSpec, ...]:
     """One spec per top-level branch of the expression; the spec itself
     when there is a single branch."""
@@ -232,7 +222,7 @@ def branch_specs(spec: PatternSpec) -> tuple[PatternSpec, ...]:
                  for idx, branch in enumerate(spec.ast.parts))
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def inducing_words(spec: PatternSpec) -> frozenset[str]:
     """The shortest nonempty word of each top-level branch.
 
@@ -360,7 +350,7 @@ def _classes(aut: sigregex.Automaton, span: int, top: int
     return classes, moves
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def _max_overlaps(spec: PatternSpec, span: int, top: int) -> tuple[int, ...]:
     """Maximum of overlap_of_words over all word pairs up to each cap
     0 .. top, indexed by the cap, from one walk over classes of words.
@@ -435,12 +425,8 @@ def _stabilize(measure: Callable[[int], Optional[int]],
 
 def overlap(spec: PatternSpec, d: Domain, cap: Optional[int] = None) -> CharValue:
     """Maximum overlap over all pairs of language words, cap-stabilized."""
-    return _overlap(spec, d.span, _checked_cap(spec, cap))
-
-
-@lru_cache(maxsize=None)
-def _overlap(spec: PatternSpec, span: int, cap: int) -> CharValue:
-    return _stabilize(_max_overlaps(spec, span, cap + 2).__getitem__, cap)
+    cap = _checked_cap(spec, cap)
+    return _stabilize(_max_overlaps(spec, d.span, cap + 2).__getitem__, cap)
 
 
 # --------------------------------------------------------------------------
@@ -524,7 +510,7 @@ def _least_variation(vals: list[int]) -> Optional[int]:
     return min(vals, key=lambda x: (abs(x), x), default=0)
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def _variations(spec: PatternSpec, span: int,
                 cap: int) -> tuple[Optional[int], ...]:
     """Smallest-magnitude variation over overlapping pairs at the caps
@@ -571,12 +557,8 @@ def smallest_variation(
     0 when nothing overlaps; Undefined when pairs vary in both directions;
     otherwise cap-stabilized like the overlap.
     """
-    return _smallest_variation(spec, d.span, _checked_cap(spec, cap))
-
-
-@lru_cache(maxsize=None)
-def _smallest_variation(spec: PatternSpec, span: int, cap: int) -> CharValue:
-    vals = _variations(spec, span, cap)
+    cap = _checked_cap(spec, cap)
+    vals = _variations(spec, d.span, cap)
     return _stabilize(lambda c: vals[c - cap], cap)
 
 

@@ -9,13 +9,13 @@ sharp only when the property justifying it holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice, product
 from typing import Optional
 
 from . import characteristics as chars
 from . import sigregex
-from .series import Domain, PatternSpec, _signature_levels, word_height
+from .series import (Domain, PatternSpec, _memoized, _signature_levels,
+                     word_height)
 from .sigregex import ALPHABET, EQ, GT, LT
 
 
@@ -86,7 +86,7 @@ def _avoids(aut: sigregex.Automaton, word: str) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def _factor_free(spec: PatternSpec, span: int) -> sigregex.Automaton:
     """The words of height at most ``span`` with no nonempty factor in the
     language, as a deterministic automaton.  A state pairs the runs of
@@ -108,13 +108,13 @@ def _factor_free(spec: PatternSpec, span: int) -> sigregex.Automaton:
     return sigregex.Automaton(len(keys), 1, (1 << len(keys)) - 1, arcs)
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def _shortest_supportable(spec: PatternSpec, span: int) -> Optional[int]:
     """Length of a shortest nonempty language word of height <= span."""
     return chars._supportable(spec, span).shortest_nonempty_length()
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def minimal_words(spec: PatternSpec) -> tuple[str, ...]:
     """Shortest language words of minimal height, canonically ordered."""
     w = chars.width(spec)
@@ -239,15 +239,15 @@ def nb_overlap(
     return _fail(prop, deepest)
 
 
-@lru_cache(maxsize=None)
-def _carries_maximal(spec: PatternSpec, v: str, n: int, d: Domain) -> bool:
-    """Some signature of length n - 1 within the domain has v maximal: one
-    walk per count of letters after v, with v's letters forced there."""
+@_memoized
+def _carries_maximal(spec: PatternSpec, v: str, n: int, span: int) -> bool:
+    """Some signature of n - 1 letters, height at most span, has v maximal:
+    one walk per count of letters after v, with v's letters forced there."""
     m, k = n - 1, len(v)
     for after in range(m - k + 1):
         letters = [ALPHABET] * m
         letters[after:after + k] = v[::-1]
-        for level in _signature_levels(spec, m, d.span, letters):
+        for level in _signature_levels(spec, m, span, letters):
             pass
         if any((after, k) in chain for _, _, chain in level):
             return True
@@ -291,7 +291,7 @@ def nb_no_overlap(
             if glued is None:
                 continue
         deepest = "maximal-occurrence-lengths"
-        if all(_carries_maximal(spec, v, n, d) for n in lengths):
+        if all(_carries_maximal(spec, v, n, d.span) for n in lengths):
             witness = {"v": v, "lengths_checked": lengths}
             if glued is not None:
                 witness["glued_non_factor"] = glued
@@ -302,7 +302,7 @@ def nb_no_overlap(
 # --------------------------------------------------------------------------
 # Width properties
 
-@lru_cache(maxsize=None)
+@_memoized
 def is_fixed_length(spec: PatternSpec) -> bool:
     """All nonempty language words share one length, the shortest w.  The
     automaton is trimmed, so every state a word reaches leads on to an

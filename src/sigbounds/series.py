@@ -23,6 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import wraps
 from typing import Iterator, Optional, Sequence, Union
 
 from . import sigregex
@@ -149,8 +150,8 @@ class PatternSpec:
     """A pattern: a regular expression plus its two trimming constants.
 
     ``a`` trims from the right end of a match's variable range and ``b``
-    from the left.  Identity is by name, source text and constants, so specs
-    can key caches; the compiled form is attached but not compared.
+    from the left.  Identity is by name, source text and constants; the
+    compiled form and the memo of :func:`_memoized` are not compared.
     """
 
     name: str
@@ -159,6 +160,7 @@ class PatternSpec:
     b: int = 0
     ast: Regex = field(init=False, compare=False, repr=False)
     aut: Automaton = field(init=False, compare=False, repr=False)
+    _memo: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.a < 0 or self.b < 0:
@@ -166,6 +168,18 @@ class PatternSpec:
         ast = sigregex.parse(self.expr)
         object.__setattr__(self, "ast", ast)
         object.__setattr__(self, "aut", sigregex.compile(ast))
+        object.__setattr__(self, "_memo", {})
+
+
+def _memoized(fn):
+    """``fn(spec, *args)`` computed once, kept in the memo of the spec."""
+    @wraps(fn)
+    def memo(spec, *args):
+        try:
+            return spec._memo[fn, args]
+        except KeyError:
+            return spec._memo.setdefault((fn, args), fn(spec, *args))
+    return memo
 
 
 @dataclass(frozen=True, order=True)

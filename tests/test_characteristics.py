@@ -9,6 +9,7 @@ import pytest
 from helpers import naive_range, naive_shift, raw_universe
 from sigbounds import catalogue as cat
 from sigbounds import characteristics as ch
+from sigbounds import properties as pr
 from sigbounds import sigregex
 from sigbounds.characteristics import (
     AmbiguousInducingWordError,
@@ -115,12 +116,13 @@ class TestRange:
     def test_long_series_need_few_products(self):
         # the climb reads its (1, 0) template; the other has none, so h is
         # bisected
-        misses = ch._supportable.cache_info().misses
-        assert ch.range_of(PatternSpec("climb", "<+"), 400) == \
-            CharValue.defined(399)
-        assert ch.range_of(PatternSpec("even", "(<<)*>+"), 250) == \
-            CharValue.defined(125)
-        assert ch._supportable.cache_info().misses - misses <= 20
+        climb = PatternSpec("climb", "<+")
+        even = PatternSpec("even", "(<<)*>+")
+        assert ch.range_of(climb, 400) == CharValue.defined(399)
+        assert ch.range_of(even, 250) == CharValue.defined(125)
+        products = [key for spec in (climb, even) for key in spec._memo
+                    if key[0] is ch._supportable.__wrapped__]
+        assert len(products) <= 20
 
     def test_template_matches_listed_words(self):
         # the decided template against the least height of listed words
@@ -308,20 +310,18 @@ class TestSmallestVariation:
 
 
 class TestSpanKey:
-    CACHED = (ch._overlap, ch._smallest_variation, ch._max_overlaps,
-              ch._variations, ch._run_moves)
+    @staticmethod
+    def span_keyed(spec, d):
+        return (ch.overlap(spec, d), ch.smallest_variation(spec, d),
+                pr.nb_no_overlap(spec, d))
 
     @pytest.mark.parametrize("entry", cat.all_entries(), ids=lambda e: e.name)
     def test_shifted_domain_and_cold_cache_agree(self, entry):
-        spec = entry.spec
-        warm = (ch.overlap(spec, Domain(0, 2)),
-                ch.smallest_variation(spec, Domain(0, 2)))
-        assert (ch.overlap(spec, Domain(5, 7)),
-                ch.smallest_variation(spec, Domain(5, 7))) == warm
-        for fn in self.CACHED:
-            fn.cache_clear()
-        assert (ch.overlap(spec, Domain(5, 7)),
-                ch.smallest_variation(spec, Domain(5, 7))) == warm
+        # a fresh spec starts with an empty memo
+        warm = self.span_keyed(entry.spec, Domain(0, 2))
+        assert self.span_keyed(entry.spec, Domain(5, 7)) == warm
+        cold = PatternSpec(entry.name, entry.expr, entry.a, entry.b)
+        assert self.span_keyed(cold, Domain(5, 7)) == warm
 
 
 class TestReport:

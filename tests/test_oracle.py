@@ -219,7 +219,7 @@ class TestSignatureLevels:
         # 8,845 steps here; the fold and a walk over the words took
         # 2,697 + 24,165
         assert 0 < calls[0] < 12000
-        assert pr._carries_maximal(PEAK, "<>", 10, Domain(0, 3))
+        assert pr._carries_maximal(PEAK, "<>", 10, 3)
 
 
 class TestSignatureSupport:
@@ -303,11 +303,12 @@ class TestRawCharacteristics:
         def refused(*args):
             raise AssertionError("words were listed")
 
+        # fresh specs, so no walk is read from a memo
+        peak = PatternSpec(PEAK.name, PEAK.expr, PEAK.a, PEAK.b)
         zigzag = PatternSpec("(><)*<(<>)*>?", "(><)*<(<>)*>?")
-        ch._max_overlaps.cache_clear()
         monkeypatch.setattr(sr.Automaton, "_prefixes", refused)
         monkeypatch.setattr(sr.Automaton, "words_up_to", refused)
-        assert ch._max_overlaps(PEAK, 3, 30) == (0, 0) + (1,) * 29
+        assert ch._max_overlaps(peak, 3, 30) == (0, 0) + (1,) * 29
         # the overlap grows by two every two letters of cap: unbounded
         got = ch._max_overlaps(zigzag, 2, 11)[4:]
         assert got == (4, 4, 4, 6, 6, 8, 8, 10)

@@ -1,14 +1,27 @@
-"""The package's public names and its modules' imports."""
+"""The package's public names, its modules' imports and where its
+per-pattern results are kept."""
 
 import ast
+import functools
+import gc
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 import types
+import weakref
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import sigbounds
+from sigbounds import bounds, characteristics
+from sigbounds.oracle import GF_SUPPORTED
+from sigbounds.series import (Aggregator, Domain, Feature, PatternSpec,
+                              TimeSeries, evaluate)
 
 
 class TestPublicNames:
@@ -109,3 +122,41 @@ def test_every_public_definition_is_exported_or_used():
         and named[node.name] == _named(node)[node.name]
     ]
     assert not unused
+
+
+class TestPatternMemo:
+    def test_no_module_level_cache_is_keyed_by_a_spec(self):
+        # per-pattern results live in the spec's memo, which dies with it;
+        # a module-level cache keyed by spec would keep every spec alive
+        keyed = []
+        for info in pkgutil.iter_modules(sigbounds.__path__):
+            if info.name.startswith("__"):
+                continue
+            module = importlib.import_module(f"sigbounds.{info.name}")
+            for name, value in vars(module).items():
+                if isinstance(value, functools._lru_cache_wrapper):
+                    first = next(iter(
+                        inspect.signature(value).parameters.values()), None)
+                    if first is not None and first.annotation in (
+                            "PatternSpec", PatternSpec):
+                        keyed.append(f"{info.name}.{name}")
+        assert not keyed
+
+    @pytest.mark.parametrize("expr", ["<+=*>+", "<=?>|=>*"])
+    def test_an_analysed_spec_is_freed(self, expr):
+        spec = PatternSpec(expr, expr)
+        for span in (1, 2, 3):
+            d = Domain(0, span)
+            characteristics.report(spec, d, 8)
+            for g, f, side in GF_SUPPORTED:
+                try:
+                    bounds.bound(g, f, side, spec, 8, d)
+                except bounds.BoundError:
+                    pass
+        evaluate(spec, Feature.MAX, Aggregator.SUM,
+                 TimeSeries((0, 1, 2, 2, 1, 0, 1) * 40))
+        assert spec._memo
+        ref = weakref.ref(spec)
+        del spec
+        gc.collect()
+        assert ref() is None

@@ -163,7 +163,7 @@ class TestNbNoOverlap:
                 for span in (1, 2, 3):
                     d = Domain(0, span)
                     for n in range(w + 1, w + 6):
-                        assert pr._carries_maximal(spec, v, n, d) == \
+                        assert pr._carries_maximal(spec, v, n, span) == \
                             carries_maximal_per_word(spec, v, n, d), \
                             (spec.name, v, n, span)
                         cases += 1
