@@ -30,8 +30,8 @@ from itertools import chain, islice, product
 from typing import Callable, Iterable, Optional
 
 from . import sigregex
-from .series import (Domain, PatternSpec, _least_support, _maximal_spans,
-                     _memoized, word_height)
+from .series import (Domain, PatternSpec, _maximal_spans, _memoized,
+                     word_height)
 from .sigregex import EQ, GT, LT, bounded_height_automaton, check_word
 
 
@@ -432,9 +432,6 @@ def overlap(spec: PatternSpec, d: Domain, cap: Optional[int] = None) -> CharValu
 # --------------------------------------------------------------------------
 # Shifts and variation
 
-_MIRROR = str.maketrans(LT + GT, GT + LT)
-
-
 def shift(spec: PatternSpec, z: str, w: str, i: int) -> Optional[int]:
     """Gap between the series maximum and the top of the i-th w-occurrence.
 
@@ -450,7 +447,8 @@ def shift(spec: PatternSpec, z: str, w: str, i: int) -> Optional[int]:
     exists and reaches the highest top in every window; (3) t supports z
     iff h - t supports z with ``<`` and ``>`` swapped, so the greatest
     series is h minus the least one of the mirrored word.  The least gap
-    h - max(h - least[window]) is then the minimum of that window.
+    h - max(h - least[window]) is then the minimum of that window, and the
+    least series is read off the word's runs of letters, not built.
     """
     check_word(z)
     check_word(w)
@@ -465,9 +463,21 @@ def shift(spec: PatternSpec, z: str, w: str, i: int) -> Optional[int]:
 def _shifts(spec: PatternSpec, z: str) -> list[tuple[str, int]]:
     """Each maximal occurrence in z, in order, as its matched factor and
     its shift, the least of the mirrored least series over its extended
-    span: one occurrence scan and one least series serve them all."""
-    least = _least_support(z.translate(_MIRROR), Domain(0, word_height(z)))
-    return [(z[i - 1:j], min(least.values[i - 1:j + 1]))
+    span: one occurrence scan and one pass of runs serve them all.
+
+    No series is built: the least series of the mirrored word is, at
+    position p, the larger of the number of ``>`` in the longest
+    ``<``-free run of z ending at p and the number of ``<`` in the longest
+    ``>``-free run of z starting there.  Mirrored, either run is monotone
+    and lifts p that far above 0; the least series meets the larger lift.
+    """
+    rises, falls = [0], [0]
+    for letter in z:
+        rises.append(0 if letter == LT else rises[-1] + (letter == GT))
+    for letter in reversed(z):
+        falls.append(0 if letter == GT else falls[-1] + (letter == LT))
+    least = list(map(max, rises, reversed(falls)))
+    return [(z[i - 1:j], min(least[i - 1:j + 1]))
             for i, j in _maximal_spans(spec.aut, z)]
 
 
@@ -510,6 +520,18 @@ def _least_variation(vals: list[int]) -> Optional[int]:
     return min(vals, key=lambda x: (abs(x), x), default=0)
 
 
+def _accepts_without(aut: sigregex.Automaton, letter: str,
+                     top: int) -> bool:
+    """Whether aut accepts a nonempty word of at most top letters free of
+    letter: one set of states per length, stepped on the other two."""
+    others, states = [x for x in (LT, EQ, GT) if x != letter], aut.initial
+    for _ in range(top):
+        states = aut.step(states, others[0]) | aut.step(states, others[1])
+        if states & aut.accepting:
+            return True
+    return False
+
+
 @_memoized
 def _variations(spec: PatternSpec, span: int,
                 cap: int) -> tuple[Optional[int], ...]:
@@ -524,9 +546,13 @@ def _variations(spec: PatternSpec, span: int,
     global maximum already sits inside that occurrence, forcing its shift
     to zero.  Pairs where both strict letters are present therefore vary by
     exactly 0, and it suffices to find one such pair that overlaps at all.
+    So no word is listed when nothing overlaps, or when no word up to
+    cap + 2 letters lacks ``>`` and none lacks ``<``: then no pair is
+    tried and every cap reads 0.
     """
     top = cap + 2
-    if _max_overlaps(spec, span, top)[top] == 0:
+    if (_max_overlaps(spec, span, top)[top] == 0
+            or not any(_accepts_without(spec.aut, x, top) for x in (GT, LT))):
         return (0, 0, 0)
     words = [u for u in spec.aut.words_up_to(top) if u]
     no_gt = [u for u in words if GT not in u]

@@ -230,26 +230,6 @@ def word_height(word: str) -> int:
     return best
 
 
-def _least_support(word: str, d: Domain) -> Optional[TimeSeries]:
-    """The lexicographically smallest series over ``d`` with the given
-    signature, or None when there is none.
-
-    Each value is the least that its letter and ``floor`` allow, where
-    ``floor[k]`` is the least value at position k from which the rest of
-    the word fits above ``d.lo``.  The result lies pointwise below every
-    series with the signature, so it fits under ``d.hi`` iff one does.
-    """
-    floor = [d.lo]
-    for ch in reversed(word):
-        floor.append(d.lo if ch == LT else floor[-1] + (ch == GT))
-    floor.reverse()
-    vals = [floor[0]]
-    for ch, low in zip(word, floor[1:]):
-        vals.append(max(vals[-1] + 1, low) if ch == LT
-                    else low if ch == GT else vals[-1])
-    return TimeSeries(tuple(vals)) if max(vals) <= d.hi else None
-
-
 # The most row types one automaton tables for the scan: a language whose
 # rows keep changing (a union of cycles of coprime lengths) would otherwise
 # grow the table with the word.  The catalogue needs at most 30.

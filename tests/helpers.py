@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 from functools import reduce
 from itertools import permutations, product
-from typing import Iterator
+from typing import Iterator, Optional
 
 from sigbounds import bounds as bd
 from sigbounds.bounds import Side
@@ -184,6 +184,26 @@ def iter_supporting_series(word: str, d: Domain) -> Iterator[TimeSeries]:
             prefix.pop()
 
     yield from rec([])
+
+
+def least_support(word: str, d: Domain) -> Optional[TimeSeries]:
+    """The lexicographically smallest series over ``d`` with the given
+    signature, or None when there is none.
+
+    Each value is the least that its letter and ``floor`` allow, where
+    ``floor[k]`` is the least value at position k from which the rest of
+    the word fits above ``d.lo``.  The result lies pointwise below every
+    series with the signature, so it fits under ``d.hi`` iff one does.
+    """
+    floor = [d.lo]
+    for ch in reversed(word):
+        floor.append(d.lo if ch == LT else floor[-1] + (ch == GT))
+    floor.reverse()
+    vals = [floor[0]]
+    for ch, low in zip(word, floor[1:]):
+        vals.append(max(vals[-1] + 1, low) if ch == LT
+                    else low if ch == GT else vals[-1])
+    return TimeSeries(tuple(vals)) if max(vals) <= d.hi else None
 
 
 def supporting_series(word: str, d: Domain) -> list[TimeSeries]:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import naive_range, naive_shift, raw_universe
+from helpers import least_support, naive_range, naive_shift, raw_universe
 from sigbounds import catalogue as cat
 from sigbounds import characteristics as ch
 from sigbounds import properties as pr
@@ -18,7 +18,7 @@ from sigbounds.characteristics import (
     CharValue,
     WordNotInLanguageError,
 )
-from sigbounds.series import Domain, PatternSpec
+from sigbounds.series import Domain, PatternSpec, _maximal_spans, word_height
 
 PEAK = PatternSpec("peak", "<(<|=)*(>|=)*>", a=1, b=1)
 GORGE = PatternSpec("gorge", "(>(>|=)*)*><((<|=)*<)*", a=1, b=1)
@@ -263,6 +263,23 @@ class TestShift:
                         positive += bool(got)
         # a shift above 0 is where the greatest series matters
         assert positive > 3000
+
+    def test_runs_match_the_least_series(self):
+        # the run-read least series against the built one of the mirrored
+        # word, over each maximal occurrence's extended span
+        zs = ["".join(t) for k in range(8)
+              for t in itertools.product("<=>", repeat=k)]
+        mirror = str.maketrans("<>", "><")
+        least = {z: least_support(z.translate(mirror),
+                                  Domain(0, word_height(z))).values
+                 for z in zs}
+        specs = ([e.spec for e in cat.all_entries()]
+                 + [PatternSpec(e, e) for e in raw_universe()])
+        for spec in specs:
+            for z in zs:
+                want = [(z[i - 1:j], min(least[z][i - 1:j + 1]))
+                        for i, j in _maximal_spans(spec.aut, z)]
+                assert ch._shifts(spec, z) == want, (spec.name, z)
 
     def test_gap_reads_both_shifts_of_one_scan(self):
         specs = ([e.spec for e in cat.all_entries()]

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 from helpers import (
     iter_supporting_series,
+    least_support,
     naive_anchored_candidates,
     off_by_one,
     raw_universe,
@@ -33,7 +34,6 @@ from sigbounds.series import (
     Feature,
     PatternSpec,
     TimeSeries,
-    _least_support,
     _signature_levels,
     enumerate_series,
     evaluate,
@@ -229,7 +229,7 @@ class TestSignatureSupport:
     def test_least_series_matches_enumeration(self):
         for d in (Domain(0, 0), Domain(0, 1), Domain(0, 2), Domain(0, 3)):
             for w in self.WORDS:
-                assert _least_support(w, d) == \
+                assert least_support(w, d) == \
                     next(iter_supporting_series(w, d), None), (w, d)
 
 
@@ -320,14 +320,15 @@ class TestRawCharacteristics:
     def test_each_probe_cap_matches_pair_by_pair(self):
         # one walk to cap + 2 answers cap, cap + 1 and cap + 2: each entry
         # against the pairs of words fitting that cap, at small caps where
-        # raw words run past it
+        # raw words run past it, at spans 0 to 4
         starred = [e for e in raw_universe() if "*" in e][::4]
         specs = ([e.spec for e in cat.all_entries()]
-                 + [PatternSpec(e, e) for e in starred])
+                 + [PatternSpec(e, e)
+                    for e in starred + _two_branch_unions(7, 150)])
         budget = [orc.DEFAULT_BUDGET]
         for spec in specs:
             least = max(0, ch.width(spec) - 2)
-            for span, cap in itertools.product((1, 2, 3), (least, least + 1)):
+            for span, cap in itertools.product(range(5), (least, least + 1)):
                 d = Domain(0, span)
                 overlaps = ch._max_overlaps(spec, span, cap + 2)
                 variations = ch._variations(spec, span, cap)
@@ -336,6 +337,28 @@ class TestRawCharacteristics:
                         spec, d, c, budget), (spec.name, span, c)
                     assert variations[c - cap] == orc._all_pairs_variation(
                         spec, d, c, budget), (spec.name, span, c)
+
+    def test_variation_without_strict_free_words_lists_none(self,
+                                                            monkeypatch):
+        def refused(*args):
+            raise AssertionError("words were listed")
+
+        # every peak word holds both ``<`` and ``>``, so no pair can vary;
+        # a fresh spec, so no walk is read from a memo
+        peak = PatternSpec(PEAK.name, PEAK.expr, PEAK.a, PEAK.b)
+        monkeypatch.setattr(sr.Automaton, "_prefixes", refused)
+        monkeypatch.setattr(sr.Automaton, "words_up_to", refused)
+        for span in (1, 2, 3):
+            assert ch._variations(peak, span, 6) == (0, 0, 0)
+        monkeypatch.undo()
+        # every pair at caps 6 and 7; at cap 8, where the pairs are too
+        # many to try here, the words alone show why no pair varies
+        for span in (1, 2, 3):
+            assert [orc._all_pairs_variation(peak, Domain(0, span), c,
+                                             [orc.DEFAULT_BUDGET])
+                    for c in (6, 7)] == [0, 0]
+        assert all(sr.LT in u and sr.GT in u
+                   for u in peak.aut.words_up_to(8) if u)
 
     def test_budget_applies_to_gluing_search(self):
         with pytest.raises(orc.BudgetExceededError):
