@@ -33,14 +33,15 @@ from .series import (
     Aggregator,
     Domain,
     Feature,
+    Occurrence,
     PatternSpec,
     SeriesError,
     TimeSeries,
+    _features,
+    _maximal_spans,
     aggregate,
     ext_to_json,
-    feature_of,
     fmt_ext,
-    maximal_occurrences,
     signature,
 )
 from .sigregex import ALPHABET, RegexError, word_key
@@ -291,17 +292,14 @@ def cmd_eval(gf: str, pattern: str, series: str, fmt: str) -> None:
         if series == "-":
             series = click.get_text_stream("stdin").read()
         t = TimeSeries.from_text(series)
-        occs = maximal_occurrences(spec, signature(t))
-        feats = [feature_of(spec, f, t, occ) for occ in occs]
+        spans = _maximal_spans(spec.aut, signature(t))
+        feats = _features(spec, f, t.values, spans)
         value = aggregate(g, feats)
         details = []
-        for occ, feat in zip(occs, feats):
-            trim_lo, trim_hi = occ.trimmed(spec.a, spec.b)
-            details.append({
-                "i": occ.i, "j": occ.j,
-                "trim_lo": trim_lo, "trim_hi": trim_hi,
-                f.value: feat,
-            })
+        for (i, j), feat in zip(spans, feats):
+            trim_lo, trim_hi = Occurrence(i, j).trimmed(spec.a, spec.b)
+            details.append({"i": i, "j": j, "trim_lo": trim_lo,
+                            "trim_hi": trim_hi, f.value: feat})
     except _INPUT_ERRORS as exc:
         _fail(2, str(exc))
     if fmt == "json":

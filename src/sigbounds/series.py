@@ -439,30 +439,30 @@ def _signature_levels(spec: PatternSpec, m: int, span: int,
 
 def feature_of(spec: PatternSpec, f: Feature, t: TimeSeries,
                occ: Occurrence) -> int:
-    """Value of one feature on one trimmed occurrence."""
-    return _feature(spec, f, t.values, occ.i, occ.j)
+    """Value of one feature on one trimmed occurrence of ``t``."""
+    if not 1 <= occ.i <= occ.j <= len(t) - 1:
+        raise SeriesError(f"occurrence ({occ.i},{occ.j}) lies outside a "
+                          f"series of length {len(t)}")
+    return _features(spec, f, t.values, [(occ.i, occ.j)])[0]
 
 
-def _feature(spec: PatternSpec, f: Feature, values: tuple[int, ...],
-             i: int, j: int) -> int:
-    """:func:`feature_of` on the occurrence (i, j) of a series' values."""
-    lo, hi = i + spec.b, j + 1 - spec.a
-    if lo > hi:
-        raise EmptyPatternError(
-            f"occurrence ({i},{j}) of {spec.name} trims to nothing"
-        )
+def _features(spec: PatternSpec, f: Feature, values: Sequence[int],
+              spans: Sequence[tuple[int, int]]) -> list[int]:
+    """:func:`feature_of` on each occurrence (i, j) of ``spans``, which lie
+    in the series ``values``; the first in ``spans`` that trimming leaves
+    empty raises before any feature is read."""
+    # values[i + lo:j + hi] holds the kept variables i + b .. j + 1 - a
+    lo, hi = spec.b - 1, 1 - spec.a
+    for i, j in spans:
+        if i + lo >= j + hi:
+            raise EmptyPatternError(
+                f"occurrence ({i},{j}) of {spec.name} trims to nothing")
     if f is Feature.ONE:
-        return 1
+        return [1] * len(spans)
     if f is Feature.WIDTH:
-        return hi - lo + 1
-    window = values[lo - 1:hi]
-    if f is Feature.MAX:
-        return max(window)
-    if f is Feature.MIN:
-        return min(window)
-    if f is Feature.SURF:
-        return sum(window)
-    raise TypeError(f"unknown feature {f!r}")
+        return [j + hi - i - lo for i, j in spans]
+    read = {Feature.MAX: max, Feature.MIN: min, Feature.SURF: sum}[f]
+    return [read(values[i + lo:j + hi]) for i, j in spans]
 
 
 def aggregate(g: Aggregator, vals: Sequence[int]) -> ExtendedInt:
@@ -489,8 +489,8 @@ def evaluate(
     With no occurrence the aggregator's entry in ``DEFAULTS`` applies.
     """
     vals = t.values
-    return aggregate(g, [_feature(spec, f, vals, i, j) for i, j
-                         in _maximal_spans(spec.aut, signature(vals))])
+    return aggregate(g, _features(spec, f, vals,
+                                  _maximal_spans(spec.aut, signature(vals))))
 
 
 def enumerate_series(n: int, d: Domain) -> Iterator[TimeSeries]:

@@ -11,6 +11,7 @@ from sigbounds import bounds as bd
 from sigbounds.bounds import Side
 from sigbounds.series import (
     Domain,
+    Feature,
     Occurrence,
     PatternSpec,
     TimeSeries,
@@ -155,6 +156,21 @@ def naive_maximal_occurrences(spec: PatternSpec, s: str) -> list[Occurrence]:
             out.append(Occurrence(i, j))
     out.sort()
     return out
+
+
+def reference_feature(spec: PatternSpec, f: Feature, t: TimeSeries,
+                      occ: Occurrence) -> Optional[int]:
+    """One feature of one occurrence by its definition, or None when
+    trimming leaves nothing: the occurrence covers variables i .. j + 1,
+    trimming keeps i + b .. j + 1 - a, and the feature reads the kept
+    values directly."""
+    window = [t.values[k - 1]
+              for k in range(occ.i + spec.b, occ.j + 2 - spec.a)]
+    if not window:
+        return None
+    return {Feature.ONE: 1, Feature.WIDTH: len(window),
+            Feature.MAX: max(window), Feature.MIN: min(window),
+            Feature.SURF: sum(window)}[f]
 
 
 def iter_supporting_series(word: str, d: Domain) -> Iterator[TimeSeries]:

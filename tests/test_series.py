@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -14,9 +15,11 @@ from helpers import (
     naive_match_spans,
     naive_maximal_occurrences,
     raw_universe,
+    reference_feature,
     supporting_series,
 )
 from sigbounds import catalogue as cat
+from sigbounds import cli
 from sigbounds import series as se
 from sigbounds.cli import main
 from sigbounds.series import (
@@ -117,6 +120,19 @@ class TestOccurrence:
         t = TimeSeries((0, 1))
         with pytest.raises(EmptyPatternError):
             se.feature_of(sharp, Feature.WIDTH, t, Occurrence(1, 1))
+
+    def test_occurrence_outside_the_series_is_an_error(self):
+        up = PatternSpec("up", "<")
+        t = TimeSeries((1, 2, 3))
+        for occ in (Occurrence(5, 7), Occurrence(0, 1), Occurrence(2, 3),
+                    Occurrence(2, 1)):
+            for f in Feature:
+                with pytest.raises(SeriesError, match=re.escape(
+                        f"occurrence ({occ.i},{occ.j}) lies outside a series "
+                        "of length 3")):
+                    se.feature_of(up, f, t, occ)
+        assert se.feature_of(up, Feature.WIDTH, t, Occurrence(1, 2)) == 3
+        assert se.feature_of(up, Feature.SURF, t, Occurrence(2, 2)) == 5
 
 
 class TestMaximalOccurrences:
@@ -297,27 +313,31 @@ class TestEvaluate:
 
 
 class TestEvaluateMatchesDefinition:
-    """``evaluate`` against ``aggregate`` over ``feature_of`` on the
-    quadratic definition of the maximal occurrences."""
+    """``evaluate`` against ``aggregate`` over the hand-written
+    ``reference_feature`` on the quadratic definition of the maximal
+    occurrences."""
 
     @pytest.mark.parametrize("spec", SCAN_SPECS, ids=lambda s: s.name)
     def test_every_aggregator_and_feature(self, spec):
         trimmed = [spec] + [PatternSpec(spec.name, spec.expr, a, b)
                             for a, b in ((1, 0), (0, 1), (1, 2))]
-        for seed in range(3):
-            t = _walk(60, seed)
+        series = [_walk(60, seed) for seed in range(3)] + [
+            TimeSeries((3,) * 60)]
+        for t in series:
             for sp in trimmed:
                 occs = naive_maximal_occurrences(sp, se.signature(t))
                 for g, f in itertools.product(Aggregator, Feature):
-                    try:
-                        want = se.aggregate(
-                            g, [se.feature_of(sp, f, t, o) for o in occs])
-                    except EmptyPatternError as e:
+                    vals = [reference_feature(sp, f, t, o) for o in occs]
+                    if None in vals:
+                        o = occs[vals.index(None)]
                         with pytest.raises(EmptyPatternError) as got:
                             se.evaluate(sp, f, g, t)
-                        assert str(got.value) == str(e)
+                        assert str(got.value) == (
+                            f"occurrence ({o.i},{o.j}) of {sp.name} trims "
+                            "to nothing")
                     else:
-                        assert se.evaluate(sp, f, g, t) == want
+                        assert se.evaluate(sp, f, g, t) == \
+                            se.aggregate(g, vals)
 
     def test_over_trimmed_occurrence_is_an_error(self):
         sharp = PatternSpec("sharp", "<", a=1, b=1)
@@ -326,6 +346,44 @@ class TestEvaluateMatchesDefinition:
                                  "nothing$"):
             se.evaluate(sharp, Feature.ONE, Aggregator.SUM,
                         TimeSeries((1, 1, 2)))
+
+    def test_first_over_trimmed_occurrence_is_named(self, monkeypatch):
+        # (1,2) keeps variable 2; (4,4) and (6,6) keep nothing
+        up = PatternSpec("up", "<+", a=1, b=1)
+        t = TimeSeries((0, 1, 2, 1, 2, 1, 2))
+        assert se.maximal_occurrences(up, se.signature(t)) == [
+            Occurrence(1, 2), Occurrence(4, 4), Occurrence(6, 6)]
+        message = "occurrence (4,4) of up trims to nothing"
+        for f in Feature:
+            with pytest.raises(EmptyPatternError) as got:
+                se.evaluate(up, f, Aggregator.SUM, t)
+            assert str(got.value) == message
+        # no catalogue pattern over-trims, so the command gets this one
+        monkeypatch.setattr(cli, "_resolve", lambda token: up)
+        for fmt in ("human", "json"):
+            res = CliRunner().invoke(main, ["eval", "nb", "up", "--series",
+                                            str(t), "--format", fmt])
+            assert res.exit_code == 2
+            assert res.stdout == ""
+            assert res.stderr == f"error: {message}\n"
+
+    def test_features_read_in_one_call(self, monkeypatch):
+        calls = []
+        bulk = se._features
+
+        def counted(spec, f, values, spans):
+            calls.append(len(spans))
+            return bulk(spec, f, values, spans)
+
+        t = _walk(2000, 5)
+        monkeypatch.setattr(se, "_features", counted)
+        got = {f: se.evaluate(PEAK, f, Aggregator.SUM, t) for f in Feature}
+        assert len(calls) == len(Feature)
+        assert min(calls) == max(calls) >= 200
+        monkeypatch.undo()
+        occs = se.maximal_occurrences(PEAK, se.signature(t))
+        assert got == {f: sum(reference_feature(PEAK, f, t, o) for o in occs)
+                       for f in Feature}
 
 
 class TestSupportingSeries:
