@@ -78,6 +78,13 @@ def _parse_cases(raw: list[dict]) -> tuple[Case, ...]:
     return tuple(out)
 
 
+def _first_match(cases: tuple[Case, ...], *, span: Optional[int] = None,
+                 n: Optional[int] = None) -> Optional[int]:
+    """The value of the first case whose guard matches, None if none does."""
+    return next((case.resolve(n=n) for case in cases
+                 if case.matches(span=span, n=n)), None)
+
+
 @dataclass(frozen=True)
 class CatalogueEntry:
     """A named pattern plus its reference characteristics."""
@@ -100,24 +107,15 @@ class CatalogueEntry:
 
     def overlap_at(self, span: int) -> Optional[int]:
         """Reference overlap for a domain of the given span, None if open."""
-        for case in self.overlap_cases:
-            if case.matches(span=span):
-                return case.resolve()
-        return None
+        return _first_match(self.overlap_cases, span=span)
 
     def delta_at(self, span: int) -> Optional[int]:
         """Reference smallest variation for the given span, None if open."""
-        for case in self.delta_cases:
-            if case.matches(span=span):
-                return case.resolve()
-        return None
+        return _first_match(self.delta_cases, span=span)
 
     def range_at(self, n: int) -> Optional[int]:
         """Reference range for series of length n, None when undefined."""
-        for case in self.range_cases:
-            if case.matches(n=n):
-                return case.resolve(n=n)
-        return None
+        return _first_match(self.range_cases, n=n)
 
 
 _ALIASES = {

@@ -14,10 +14,11 @@ computed under a length cap with a stability probe: a value is reported as
 settled only if enlarging the cap does not change it.  One walk to cap + 2
 letters answers the probes at cap, cap + 1 and cap + 2.  The overlap never
 lists a word: it walks classes of words, the automaton states a word
-reaches or accepts from with its runs of climbs and drops, and decides
-each seam length on pairs of classes.  Both read the domain only through
-its span, so each walk is made once per (pattern, span, cap) and kept, like
-the plain language measures, in the pattern's memo, freed with the pattern.
+reaches or accepts from with the height levels it can end or start on,
+and decides each seam length on pairs of classes.  Both read the domain
+only through its span, so each walk is made once per (pattern, span, cap)
+and kept, like the plain language measures, in the pattern's memo, freed
+with the pattern.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, Iterable, Optional
 from . import sigregex
 from .series import (Domain, PatternSpec, _maximal_spans, _memoized,
                      word_height)
-from .sigregex import EQ, GT, LT, bounded_height_automaton, check_word
+from .sigregex import ALPHABET, GT, LT, bounded_height_automaton, check_word
 
 
 class CharacteristicsError(Exception):
@@ -142,12 +143,13 @@ def _supportable(spec: PatternSpec, h: int) -> sigregex.Automaton:
 
 @_memoized
 def height(spec: PatternSpec) -> int:
-    """Smallest h such that some language word has height h.
+    """Smallest h such that some nonempty language word has height h.
 
     Never exceeds the width, since a word of length k has height at most k.
     """
     for h in range(width(spec) + 1):
-        if not _supportable(spec, h).is_empty:
+        low = _supportable(spec, h)
+        if not low.is_empty and low.shortest_nonempty_length() is not None:
             return h
     raise AssertionError("height must not exceed width")
 
@@ -313,36 +315,27 @@ def overlap_of_words(spec: PatternSpec, v: str, w: str, d: Domain) -> int:
     return len(v) + len(w) - shortest + 1
 
 
-@lru_cache(maxsize=None)
-def _run_moves(span: int) -> list[list[tuple[tuple[str, int, int], ...]]]:
-    """By climbs, then drops, of a run: each letter that keeps it within
-    the span, with the run it makes.  ``=`` keeps a run, ``<`` and ``>``
-    add to theirs and end the other."""
-    return [[tuple(m for m in ((LT, c + 1, 0), (EQ, c, d), (GT, 0, d + 1))
-                   if m[1] <= span >= m[2]) for d in range(span + 1)]
-            for c in range(span + 1)]
-
-
-def _classes(aut: sigregex.Automaton, span: int, top: int
-             ) -> tuple[list[tuple[int, int, int, int]], list[dict]]:
+def _classes(aut: sigregex.Automaton, heights: sigregex.Automaton, top: int
+             ) -> tuple[list[tuple[int, int, int]], list[dict]]:
     """The classes of the words of at most top letters read from
-    aut.initial: the states a word reaches, the climbs (drops) of its
-    longest suffix free of ``>`` (``<``) and the fewest letters of a word
-    in it.  Breadth first, from the empty word at index 0; a word whose
-    states empty or whose run passes the span is dropped.  Also the moves
-    of each class of fewer than top letters, letter to class index."""
+    aut.initial: the states a word reaches, the levels of heights it can
+    end on and the fewest letters of a word in it.  Breadth first, from the
+    empty word at index 0; a word reaching no state or no level is dropped.
+    Also the moves of each class of fewer than top letters, letter to
+    class index."""
     # a set holding no state with an arc on a letter is not stepped on it
     sources = {letter: sum({1 << q for q, _ in pairs})
                for letter, pairs in aut.arcs.items()}
-    runs, classes, moves = _run_moves(span), [(aut.initial, 0, 0, 0)], []
-    index = {classes[0][:3]: 0}
-    for states, climbs, drops, size in classes:
+    classes, moves = [(aut.initial, heights.initial, 0)], []
+    index = {classes[0][:2]: 0}
+    for states, levels, size in classes:
         if size == top:
             break
         moves.append({})
-        for letter, c, d in runs[climbs][drops]:
-            if states & sources[letter]:
-                key = (aut.step(states, letter), c, d)
+        for letter in ALPHABET:
+            ends = states & sources[letter] and heights.step(levels, letter)
+            if ends:
+                key = (aut.step(states, letter), ends)
                 if key not in index:
                     index[key] = len(classes)
                     classes.append(key + (size + 1,))
@@ -357,19 +350,21 @@ def _max_overlaps(spec: PatternSpec, span: int, top: int) -> tuple[int, ...]:
 
     Overlap k + 1 needs words v = u + x and w = x + r with a seam x of k
     letters such that v + r leaves the language and stays supportable.
-    u counts by its class (:func:`_classes`), r by the class of its
-    reversal on ``aut.reversal()``: the states r accepts from and its
-    leading runs.  v + r leaves the language iff the states v reaches miss
-    those; its height is the largest of those of v and r and of the two
-    sums of runs.  Seams are walked by length as pairs of classes, of u + x
-    and of x, one per distinct pair with the fewest letters of u.  A pair
-    fitting a rest counts from the cap fitting both words.
+    u counts by its class (:func:`_classes`) on H_span, the words of height
+    at most the span; r by the class of its reversal on ``aut.reversal()``
+    and H_span reversed: the states r accepts from and the levels it can
+    start on.  v + r leaves the language iff the states v reaches miss
+    those, and stays within the span iff some level v ends on starts r.
+    Seams are walked by length as pairs of classes, of u + x and of x, one
+    per distinct pair with the fewest letters of u.  A pair fitting a rest
+    counts from the cap fitting both words.
     """
-    aut, best = spec.aut, [0] * (top + 1)
-    rests = _classes(aut.reversal(), span, top)[0]
-    lefts, moves = _classes(aut, span, top)
+    aut, heights = spec.aut, bounded_height_automaton(span)
+    best = [0] * (top + 1)
+    rests = _classes(aut.reversal(), heights.reversal(), top)[0]
+    lefts, moves = _classes(aut, heights, top)
     fitting: dict[int, list[tuple[int, int]]] = {}
-    pairs = {(left, 0): size for left, (_, _, _, size) in enumerate(lefts)}
+    pairs = {(left, 0): size for left, (_, _, size) in enumerate(lefts)}
     depth = 0
     while pairs and depth < top:
         need, grown = top + 1, {}
@@ -380,11 +375,11 @@ def _max_overlaps(spec: PatternSpec, span: int, top: int) -> tuple[int, ...]:
             if size + depth < need:
                 if left not in fitting:
                     # the rests that glue to v = u + x, shortest first
-                    after, climbs, drops, _ = lefts[left]
+                    after, ends, _ = lefts[left]
                     fitting[left] = [
-                        (co, n) for co, c, d, n in rests
-                        if not co & after and climbs + c <= span
-                        and drops + d <= span] if after & aut.accepting else []
+                        (co, n) for co, starts, n in rests
+                        if not co & after and ends & starts
+                    ] if after & aut.accepting else []
                 # the first that x + r accepts is the least
                 for co, n in fitting[left]:
                     if co & lefts[seam][0]:
@@ -524,7 +519,7 @@ def _accepts_without(aut: sigregex.Automaton, letter: str,
                      top: int) -> bool:
     """Whether aut accepts a nonempty word of at most top letters free of
     letter: one set of states per length, stepped on the other two."""
-    others, states = [x for x in (LT, EQ, GT) if x != letter], aut.initial
+    others, states = [x for x in ALPHABET if x != letter], aut.initial
     for _ in range(top):
         states = aut.step(states, others[0]) | aut.step(states, others[1])
         if states & aut.accepting:

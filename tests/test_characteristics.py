@@ -67,6 +67,12 @@ class TestWidthHeight:
         (DEC_TER, 3, 2),
         (SDS, 1, 1),
         (DEC_SEQ, 1, 1),
+        # like the width, the height reads nonempty words only
+        (PatternSpec("<*", "<*"), 1, 1),
+        (PatternSpec("(<>)*", "(<>)*"), 2, 1),
+        (PatternSpec("(<|>)*", "(<|>)*"), 1, 1),
+        (PatternSpec("<|1", "<|1"), 1, 1),
+        (PatternSpec("=*", "=*"), 1, 0),
     ])
     def test_golden_values(self, spec: PatternSpec, omega: int, eta: int):
         assert ch.width(spec) == omega

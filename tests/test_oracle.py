@@ -396,6 +396,14 @@ class TestSweep:
         rep = orc.sharpness_report(specs)
         assert rep.failures == []
 
+    def test_nullable_raw_regexes_pass_the_default_grid(self):
+        # a nullable regex's height counts nonempty words, so the width
+        # bounds read its minimal words rather than refuse
+        specs = [PatternSpec(e, e) for e in ("<*", "(<>)*", "(<|>)*", "<|1")]
+        rep = orc.sharpness_report(specs, n_range=range(2, 9))
+        assert rep.failures == []
+        assert rep.summary()["checked"] == 105 + 69 + 84 + 21
+
     @pytest.mark.parametrize("expr", TEMPLATE_LEAVERS)
     def test_regexes_leaving_a_sampled_template_get_no_width_bound(
             self, expr):

@@ -56,17 +56,22 @@ class TestOccurrenceAvoidable:
             signature
         # "=|<>" is avoided over 0:1 only by signatures starting with ">"
         exprs = raw_universe()[::17] + ["=*=?(>=)*(<>)*", "=|<>", "0", "1"]
-        for expr in exprs:
-            spec = PatternSpec(expr, expr)
-            for span in (0, 1, 2):
+        # the constant and alternating tries settle every catalogue call,
+        # so the factor-free words are checked on their own as well
+        specs = ([PatternSpec(expr, expr) for expr in exprs]
+                 + [e.spec for e in cat.all_entries()])
+        for spec in specs:
+            for span in (0, 1, 2, 3):
                 d = Domain(0, span)
-                for n in range(2, 6):
+                for n in range(2, 8):
                     found = any(
                         not maximal_occurrences(spec, signature(t))
                         for t in enumerate_series(n, d)
                     )
                     assert pr.occurrence_avoidable(spec, n, d) == found, (
-                        expr, n, d)
+                        spec.name, n, d)
+                    assert pr._factor_free(spec, span).has_length(
+                        n - 1) == found, (spec.name, n, d)
 
 
 class TestMinimalWords:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -182,11 +183,14 @@ class TestAutomaton:
         assert not pr.is_fixed_length(spec)
         # 29 is the first length missing from 3 on
         assert ch.range_params(spec) is None
+        # height 2 counts only nonempty words, so the shortest-pattern
+        # rule applies: only ``<<`` fits within the span
         got = CliRunner().invoke(main, ["bound", "min_width", expr,
                                         "--side", "lower", "--n", "5",
-                                        "--hi", "2"])
-        assert got.exit_code == 3
-        assert "no width lower-bound rule applies" in got.output
+                                        "--hi", "2", "--format", "json"])
+        assert got.exit_code == 0
+        out = json.loads(got.output)
+        assert (out["value"], out["sharp"]) == (3, True)
         assert 0 < len(read) < 300
 
     def test_intersect_is_language_intersection(self):
