@@ -212,7 +212,7 @@ def nb_upper(
     if o > 0:
         prop = properties.nb_overlap(spec, d, cap)
     else:
-        prop = properties.nb_no_overlap(spec, d, cap=cap)
+        prop = properties.nb_no_overlap(spec, d, cap)
     per = w + 1 - o
     if prop.holds:
         m = min(n, max(1, interval_cap(spec, d, cap)))

@@ -420,8 +420,12 @@ def _stabilize(measure: Callable[[int], Optional[int]],
 
 def overlap(spec: PatternSpec, d: Domain, cap: Optional[int] = None) -> CharValue:
     """Maximum overlap over all pairs of language words, cap-stabilized."""
-    cap = _checked_cap(spec, cap)
-    return _stabilize(_max_overlaps(spec, d.span, cap + 2).__getitem__, cap)
+    return _overlap(spec, d.span, _checked_cap(spec, cap))
+
+
+@_memoized
+def _overlap(spec: PatternSpec, span: int, cap: int) -> CharValue:
+    return _stabilize(_max_overlaps(spec, span, cap + 2).__getitem__, cap)
 
 
 # --------------------------------------------------------------------------
@@ -460,20 +464,25 @@ def _shifts(spec: PatternSpec, z: str) -> list[tuple[str, int]]:
     its shift, the least of the mirrored least series over its extended
     span: one occurrence scan and one pass of runs serve them all.
 
-    No series is built: the least series of the mirrored word is, at
-    position p, the larger of the number of ``>`` in the longest
+    The least series of the mirrored word is read off z's runs of letters:
+    at position p it is the larger of the number of ``>`` in the longest
     ``<``-free run of z ending at p and the number of ``<`` in the longest
     ``>``-free run of z starting there.  Mirrored, either run is monotone
     and lifts p that far above 0; the least series meets the larger lift.
+    It is kept negated, as ``low``, which has signature z, so the
+    occurrence scan reads it too.
     """
-    rises, falls = [0], [0]
+    rise, rises = 0, [0]
     for letter in z:
-        rises.append(0 if letter == LT else rises[-1] + (letter == GT))
+        rise = 0 if letter == LT else rise - (letter == GT)
+        rises.append(rise)
+    fall, falls = 0, [0]
     for letter in reversed(z):
-        falls.append(0 if letter == GT else falls[-1] + (letter == LT))
-    least = list(map(max, rises, reversed(falls)))
-    return [(z[i - 1:j], min(least[i - 1:j + 1]))
-            for i, j in _maximal_spans(spec.aut, z)]
+        fall = 0 if letter == GT else fall - (letter == LT)
+        falls.append(fall)
+    low = list(map(min, rises, reversed(falls)))
+    return [(z[i - 1:j], -max(low[i - 1:j + 1]))
+            for i, j in _maximal_spans(spec.aut, low)]
 
 
 def _shift_gap(spec: PatternSpec, z: str, v: str, w: str) -> Optional[int]:
@@ -578,8 +587,12 @@ def smallest_variation(
     0 when nothing overlaps; Undefined when pairs vary in both directions;
     otherwise cap-stabilized like the overlap.
     """
-    cap = _checked_cap(spec, cap)
-    vals = _variations(spec, d.span, cap)
+    return _smallest_variation(spec, d.span, _checked_cap(spec, cap))
+
+
+@_memoized
+def _smallest_variation(spec: PatternSpec, span: int, cap: int) -> CharValue:
+    vals = _variations(spec, span, cap)
     return _stabilize(lambda c: vals[c - cap], cap)
 
 

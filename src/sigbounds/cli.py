@@ -42,7 +42,6 @@ from .series import (
     aggregate,
     ext_to_json,
     fmt_ext,
-    signature,
 )
 from .sigregex import ALPHABET, RegexError, word_key
 
@@ -292,7 +291,7 @@ def cmd_eval(gf: str, pattern: str, series: str, fmt: str) -> None:
         if series == "-":
             series = click.get_text_stream("stdin").read()
         t = TimeSeries.from_text(series)
-        spans = _maximal_spans(spec.aut, signature(t))
+        spans = _maximal_spans(spec.aut, t.values)
         feats = _features(spec, f, t.values, spans)
         value = aggregate(g, feats)
         details = []

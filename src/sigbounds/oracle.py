@@ -41,16 +41,17 @@ from .series import (
     ExtendedInt,
     Feature,
     MINUS_INF,
+    Occurrence,
     PLUS_INF,
     PatternSpec,
     TimeSeries,
+    _maximal_spans,
     _scan_stepper,
     _signature_levels,
     aggregate,
     enumerate_series,
     ext_to_json,
     feature_of,
-    maximal_occurrences,
     signature,
 )
 from .sigregex import ALPHABET
@@ -158,9 +159,9 @@ def brute_extrema(
     check_budget(n, d, budget)
     out = ExtremaResult(n, d)
     for t in enumerate_series(n, d):
-        occs = maximal_occurrences(spec, signature(t))
-        vals = [feature_of(spec, f, t, o) for o in occs]
-        out.add(t, aggregate(g, vals), bool(occs))
+        spans = _maximal_spans(spec.aut, t.values)
+        vals = [feature_of(spec, f, t, Occurrence(i, j)) for i, j in spans]
+        out.add(t, aggregate(g, vals), bool(spans))
     return out
 
 

@@ -4,6 +4,10 @@ Each decision procedure returns a PropertyCheck carrying a re-verifiable
 witness on success and the name of the first blocking condition on
 failure.  The properties gate the closed-form bounds: a bound is flagged
 sharp only when the property justifying it holds.
+
+A check reads neither n nor more of the domain than its span, so each is
+kept in the pattern's memo by its arguments and every bound rule after the
+first reads the answer back; callers must leave its witness unchanged.
 """
 
 from __future__ import annotations
@@ -125,6 +129,7 @@ def minimal_words(spec: PatternSpec) -> tuple[str, ...]:
 # --------------------------------------------------------------------------
 # Counting properties
 
+@_memoized
 def nb_simple(spec: PatternSpec, d: Domain) -> PropertyCheck:
     """Some series of any length has no occurrence at all.
 
@@ -181,6 +186,7 @@ def _glue_failure(
     return None
 
 
+@_memoized
 def nb_overlap(
     spec: PatternSpec, d: Domain, cap: Optional[int] = None
 ) -> PropertyCheck:
@@ -257,6 +263,7 @@ def _carries_maximal(spec: PatternSpec, v: str, n: int, span: int) -> bool:
 _NO_OVERLAP_LENGTHS = 5
 
 
+@_memoized
 def nb_no_overlap(
     spec: PatternSpec, d: Domain, cap: Optional[int] = None
 ) -> PropertyCheck:
@@ -312,6 +319,7 @@ def is_fixed_length(spec: PatternSpec) -> bool:
                                              w + 1, None))
 
 
+@_memoized
 def width_max(spec: PatternSpec) -> PropertyCheck:
     """The widest-occurrence bound has its closed affine form.
 
@@ -335,6 +343,7 @@ def width_max(spec: PatternSpec) -> PropertyCheck:
     )
 
 
+@_memoized
 def width_sum(
     spec: PatternSpec, d: Domain, cap: Optional[int] = None
 ) -> PropertyCheck:
@@ -357,6 +366,7 @@ def width_sum(
     return PropertyCheck(prop, True, {"overlap": o, "a": spec.a, "b": spec.b})
 
 
+@_memoized
 def width_occurrence(spec: PatternSpec, d: Domain) -> PropertyCheck:
     """A shortest pattern can occur un-extended within the domain.
 

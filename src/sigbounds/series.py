@@ -7,14 +7,15 @@ each maximal match is trimmed by the pattern's border constants before a
 feature is read off the covered values, and :func:`aggregate` combines the
 feature values.
 
-The maximal matches come from one backward pass over the signature that
-keeps, per automaton state, the furthest end of an accepted run, followed
-by a running maximum over the starts.  The pass reads each letter with one
-lookup in a lazily built table of row types, the rows up to the values of
-their ends, kept on the automaton and capped at ``MAX_ROW_TYPES``; a word
-that needs one more type finishes on the automaton's arcs.  Either way the
-pass is linear in the signature length, whatever the number of state sets
-a deterministic reading would visit.
+The maximal matches come from one backward pass over the series'
+comparisons, each read off two neighbouring values with no signature
+built, that keeps, per automaton state, the furthest end of an accepted
+run, followed by a running maximum over the starts.  The pass reads each
+comparison with one lookup in a lazily built table of row types, the rows
+up to the values of their ends, kept on the automaton and capped at
+``MAX_ROW_TYPES``; a series that needs one more type finishes on the
+automaton's arcs.  Either way the pass is linear in the series length,
+whatever the number of state sets a deterministic reading would visit.
 """
 
 from __future__ import annotations
@@ -319,10 +320,13 @@ def _far_step(aut: Automaton, accepting: list[int], far: list[int], i: int,
     return nxt
 
 
-def _maximal_spans(aut: Automaton, s: str) -> list[tuple[int, int]]:
-    """The 1-based (i, j) of the maximal matches of ``aut`` in ``s``, by
-    position; see :func:`maximal_occurrences`."""
-    m = len(s)
+def _maximal_spans(aut: Automaton, vals: Sequence[int]
+                   ) -> list[tuple[int, int]]:
+    """The 1-based (i, j) of the maximal matches of ``aut`` in the
+    signature of the series ``vals``, by position, from one backward pass
+    over its comparisons, each read off two neighbouring values; see
+    :func:`maximal_occurrences`."""
+    m = len(vals) - 1
     table = aut._scan_rows
     if table is None:
         table = aut._scan_rows = _RowTable(aut)
@@ -332,16 +336,21 @@ def _maximal_spans(aut: Automaton, s: str) -> list[tuple[int, int]]:
     # ends[i]: 1-based end of the longest match starting at i + 1, or -1
     ends = [-1] * m
     i = m
+    back = reversed(vals)
+    y = next(back)
     try:
-        for ch in reversed(s):
+        for x in back:
             i -= 1
-            node = node[ch]
+            node = node[LT if x < y else EQ if x == y else GT]
             regs[node.new] = i
             ends[i] = regs[node.best]
+            y = x
     except _TableFull:
         far = [regs[r] for r in node.held]
         for i in range(i, -1, -1):
-            far = _far_step(aut, table.accepting, far, i, s[i])
+            x, y = vals[i], vals[i + 1]
+            far = _far_step(aut, table.accepting, far, i,
+                            LT if x < y else EQ if x == y else GT)
             e = max(map(far.__getitem__, table.initial))
             ends[i] = e if e > i else -1
     out = []
@@ -353,6 +362,15 @@ def _maximal_spans(aut: Automaton, s: str) -> list[tuple[int, int]]:
     return out
 
 
+_STEPS = {LT: 1, EQ: 0, GT: -1}
+
+
+def _series_of(word: str) -> list[int]:
+    """A series with signature ``word``: each letter steps by 1, 0 or -1."""
+    return list(itertools.accumulate(map(_STEPS.__getitem__, word),
+                                     initial=0))
+
+
 def maximal_occurrences(spec: PatternSpec, s: str) -> list[Occurrence]:
     """Matches not strictly contained in another match, sorted by position.
 
@@ -361,7 +379,9 @@ def maximal_occurrences(spec: PatternSpec, s: str) -> list[Occurrence]:
     that starts there at the current position and stops in an accepting
     state.  Only the longest match from a start can be maximal, and it is
     maximal iff it ends beyond the longest match of every earlier start,
-    which a forward running maximum decides.
+    which a forward running maximum decides.  The pass reads the
+    comparisons of a series as it goes, so ``s`` is first turned into a
+    series with that signature.
 
     The row is read as its type (:class:`_RowType`), which says which
     register holds each state's end, in what order the registers' ends
@@ -374,7 +394,8 @@ def maximal_occurrences(spec: PatternSpec, s: str) -> list[Occurrence]:
     per letter, as an untabled scan would.  Space O(|s|).
     """
     check_word(s)
-    return [Occurrence(i, j) for i, j in _maximal_spans(spec.aut, s)]
+    return [Occurrence(i, j)
+            for i, j in _maximal_spans(spec.aut, _series_of(s))]
 
 
 def _scan_stepper(spec: PatternSpec, m: int, span: int):
@@ -490,7 +511,7 @@ def evaluate(
     """
     vals = t.values
     return aggregate(g, _features(spec, f, vals,
-                                  _maximal_spans(spec.aut, signature(vals))))
+                                  _maximal_spans(spec.aut, vals)))
 
 
 def enumerate_series(n: int, d: Domain) -> Iterator[TimeSeries]:

@@ -160,3 +160,45 @@ class TestPatternMemo:
         del spec
         gc.collect()
         assert ref() is None
+
+
+class _Reads(ast.NodeVisitor):
+    """The innermost function around each read of one of ``names``, as a
+    variable or an attribute, annotations and decorators aside; None for a
+    read outside every function."""
+
+    def __init__(self, names: set[str]):
+        self.names, self.where, self.found = names, None, set()
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        outer, self.where = self.where, node.name
+        for stmt in node.body:
+            self.visit(stmt)
+        self.where = outer
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self.visit(node.target)
+        if node.value is not None:
+            self.visit(node.value)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if node.id in self.names and isinstance(node.ctx, ast.Load):
+            self.found.add((self.where, node.id))
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr in self.names and isinstance(node.ctx, ast.Load):
+            self.found.add((self.where, node.attr))
+        self.generic_visit(node)
+
+
+def test_one_function_reads_the_scan_row_table():
+    # the table has one scan loop; a second kernel over it would have to
+    # keep the same rows, fallback and tie rules in step with the first
+    package = Path(sigbounds.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        reads = _Reads({"_scan_rows", "_RowTable"})
+        reads.visit(ast.parse(path.read_text("utf-8")))
+        found |= {(path.stem, where, name) for where, name in reads.found}
+    assert found == {("series", "_maximal_spans", "_scan_rows"),
+                     ("series", "_maximal_spans", "_RowTable")}

@@ -59,6 +59,24 @@ def _walk(n: int, seed: int) -> TimeSeries:
     return TimeSeries(tuple(vals))
 
 
+def _far_walk(n: int, seed: int) -> TimeSeries:
+    """Steps from -10^9..10^9, half of them 0, so neighbours repeat."""
+    rng = random.Random(seed)
+    vals = [rng.randint(-10**9, 10**9)]
+    for _ in range(n - 1):
+        vals.append(vals[-1] + rng.choice((0, rng.randint(-10**9, 10**9))))
+    return TimeSeries(tuple(vals))
+
+
+def _plateaus(n: int, seed: int) -> TimeSeries:
+    """Negative values, each held for 4 to 15 points."""
+    rng = random.Random(seed)
+    vals: list[int] = []
+    while len(vals) < n:
+        vals += [rng.randint(-9, -1)] * rng.randint(4, 15)
+    return TimeSeries(tuple(vals[:n]))
+
+
 class TestSignature:
     def test_figure_series(self):
         assert se.signature(FIGURE) == "=>=<<=<>>=<=====>"
@@ -206,13 +224,21 @@ class TestTabledScan:
         monkeypatch.setattr(se, "_far_step", spy)
         spec = PatternSpec("cycles", PRIME_CYCLES)
         n = se.MAX_ROW_TYPES + 40
+        want = {}
         for w in ("<" * n, "=<" + "<" * n + ">"):
             positions.clear()
-            assert se.maximal_occurrences(spec, w) == \
-                naive_maximal_occurrences(spec, w), w
+            want[w] = naive_maximal_occurrences(spec, w)
+            assert se.maximal_occurrences(spec, w) == want[w], w
             # table builds step at position 0, the fallback mid-word
             assert max(positions) > 0
         assert len(spec.aut._scan_rows) == se.MAX_ROW_TYPES
+        # a full table on a series: the fallback reads the same letters
+        t = TimeSeries(tuple(range(n + 1)))
+        positions.clear()
+        assert se.evaluate(spec, Feature.WIDTH, Aggregator.SUM, t) == sum(
+            reference_feature(spec, Feature.WIDTH, t, o)
+            for o in want["<" * n])
+        assert max(positions) > 0
 
     def test_row_table_stays_bounded(self):
         spec = PatternSpec("cycles", PRIME_CYCLES)
@@ -288,6 +314,33 @@ class TestEvaluate:
             assert se.feature_of(spec, Feature.MIN, t, Occurrence(1, 3)) \
                 == min(window)
 
+    def test_evaluate_builds_no_signature(self, monkeypatch):
+        def refused(t):
+            raise AssertionError("a signature was built")
+
+        monkeypatch.setattr(se, "signature", refused)
+        assert se.evaluate(PEAK, Feature.WIDTH, Aggregator.MIN, FIGURE) == 5
+        res = CliRunner().invoke(main, ["eval", "min_width", "peak",
+                                        "--series", str(FIGURE)])
+        assert res.exit_code == 0, res.output
+
+    def test_cli_eval_on_one_and_two_points(self):
+        spec = cat.lookup("increasing").spec
+        for text in ("7", "7,7", "3,4", "4,3"):
+            t = TimeSeries.from_text(text)
+            res = CliRunner().invoke(main, ["eval", "sum_width", "increasing",
+                                            "--series", text, "--format",
+                                            "json"])
+            assert res.exit_code == 0, res.output
+            got = json.loads(res.output)
+            assert got["value"] == int(text == "3,4") * 2
+            assert [(o["i"], o["j"]) for o in got["occurrences"]] == [
+                (o.i, o.j)
+                for o in naive_maximal_occurrences(spec, se.signature(t))]
+            res = CliRunner().invoke(main, ["eval", "sum_width", "increasing",
+                                            "--series", text])
+            assert res.exit_code == 0, res.output
+
     def test_defaults_when_nothing_matches(self):
         flat = TimeSeries((1, 1, 1))
         assert se.evaluate(PEAK, Feature.WIDTH, Aggregator.MAX, flat) == 0
@@ -322,7 +375,8 @@ class TestEvaluateMatchesDefinition:
         trimmed = [spec] + [PatternSpec(spec.name, spec.expr, a, b)
                             for a, b in ((1, 0), (0, 1), (1, 2))]
         series = [_walk(60, seed) for seed in range(3)] + [
-            TimeSeries((3,) * 60)]
+            TimeSeries((3,) * 60), _far_walk(60, 3), _plateaus(60, 4)] + [
+            TimeSeries(vals) for vals in ((3,), (3, 3), (3, 4), (4, 3))]
         for t in series:
             for sp in trimmed:
                 occs = naive_maximal_occurrences(sp, se.signature(t))
