@@ -8,11 +8,11 @@ agree with these; the sharpness report certifies the bound formulas against
 them.
 
 :func:`brute_extrema` walks every series.  The features of ``bounds.RULES``
-depend only on where the maximal occurrences lie, so the sweep reads the
-signatures of height at most the span instead, from the merged levels of
-``series._signature_levels``, and folds each distinct occurrence chain of
-the last level once.  A cell with a failing row descends the same levels
-for the least series of each violated extreme.  Both stand for every series
+depend only on the lengths of the maximal occurrences, so the sweep reads
+the signatures of height at most the span instead, from the merged levels
+of ``series._signature_levels``, and folds each distinct sorted tuple of
+occurrence lengths of the last level once.  A cell with a failing row
+descends the same levels for the least series of each violated extreme.  Both stand for every series
 of the shape, (span + 1) ** n of them, and budgets count series.
 """
 
@@ -290,14 +290,14 @@ class SweepReport:
 
 
 def _chain_values(spec: PatternSpec, word: str,
-                  chain: tuple) -> dict[Feature, list[int]]:
-    """The positional feature values of the maximal occurrences ``chain``
-    of the reversed signature ``word``."""
-    widths = [letters + 1 - spec.a - spec.b for _, letters in chain]
+                  lengths: Sequence[int]) -> dict[Feature, list[int]]:
+    """The feature values of the maximal occurrences of the reversed
+    signature ``word``, which have ``lengths`` letters."""
+    widths = [k + 1 - spec.a - spec.b for k in lengths]
     if widths and min(widths) < 1:
         raise EmptyPatternError(f"an occurrence of {spec.name} in "
                                 f"{word[::-1]!r} trims to nothing")
-    return {Feature.ONE: [1] * len(chain), Feature.WIDTH: widths}
+    return {Feature.ONE: [1] * len(widths), Feature.WIDTH: widths}
 
 
 def _cell_extrema(
@@ -308,10 +308,11 @@ def _cell_extrema(
 ) -> dict[tuple[Aggregator, Feature], ExtremaResult]:
     """What :func:`brute_extrema` gives for several aggregator/feature
     pairs, witnesses aside, from the last of the merged levels of
-    ``series._signature_levels``: each distinct occurrence chain is folded
-    once, named by the least reversed signature carrying it.  The features
-    must be positional, so one value serves every series that supports a
-    signature with that chain."""
+    ``series._signature_levels``.  The features must read only the
+    occurrences' lengths, so one value serves every series whose
+    signature has maximal occurrences of those lengths, in any order:
+    each distinct sorted tuple of lengths is folded once, named by the
+    least reversed signature carrying it."""
     trackers = {gf: ExtremaResult(n, d) for gf in set(gfs)}
     for _, f in trackers:
         if f not in (Feature.ONE, Feature.WIDTH):
@@ -321,10 +322,14 @@ def _cell_extrema(
     chains: dict[tuple, str] = {}
     for (_, _, chain), word in level.items():
         chains.setdefault(chain, word)
+    # sorting once per distinct chain, not once per key, halves the cost
+    folds: dict[tuple, str] = {}
     for chain, word in chains.items():
-        feats = _chain_values(spec, word, chain)
+        folds.setdefault(tuple(sorted(k for _, k in chain)), word)
+    for lengths, word in folds.items():
+        feats = _chain_values(spec, word, lengths)
         for (g, f), tracker in trackers.items():
-            tracker.add(None, aggregate(g, feats[f]), bool(feats[f]))
+            tracker.add(None, aggregate(g, feats[f]), bool(lengths))
     return trackers
 
 
@@ -342,7 +347,7 @@ def _counterexamples(spec: PatternSpec, n: int, d: Domain,
         # nothing to find, or one value and no letters: the chain is empty
         return {want: TimeSeries((d.lo,)) for want in wanted}
     m = n - 1
-    _, step = _scan_stepper(spec, m, d.span)
+    _, step = _scan_stepper(spec, d.span)
     levels = list(islice(_signature_levels(spec, m, d.span), m))
     # per wanted value, the keys one letter short of the last level that
     # reach a key of that value, by that letter, and where those can start
@@ -352,7 +357,7 @@ def _counterexamples(spec: PatternSpec, n: int, d: Domain,
         for ch in ALPHABET:
             last = step(key, m, ch)
             if last is not None:
-                feats = _chain_values(spec, word + ch, last[2])
+                feats = _chain_values(spec, word + ch, [k for _, k in last[2]])
                 for want in wanted:
                     if aggregate(want[0], feats[want[1]]) == want[2]:
                         into[want][ch].append(key)

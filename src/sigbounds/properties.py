@@ -6,15 +6,19 @@ failure.  The properties gate the closed-form bounds: a bound is flagged
 sharp only when the property justifying it holds.
 
 A check reads neither n nor more of the domain than its span, so each is
-kept in the pattern's memo by its arguments and every bound rule after the
-first reads the answer back; callers must leave its witness unchanged.
+kept in the pattern's memo by its span and resolved cap, and every bound
+rule after the first reads the answer back.  The witness is read-only, so
+no caller can change what the next one reads.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
+from functools import wraps
 from itertools import islice, product
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from . import characteristics as chars
 from . import sigregex
@@ -33,18 +37,38 @@ class FixedLengthRegexError(PropertiesError):
 
 @dataclass(frozen=True)
 class PropertyCheck:
+    """A check's answer.  Its witness is a read-only view, which the
+    checks fill with strings, numbers and tuples only, so no reader can
+    change what the next one reads."""
+
     prop: str
     holds: bool
-    witness: Optional[dict] = None
+    witness: Optional[Mapping] = None
     failed_condition: Optional[str] = None
+
+    def __post_init__(self):
+        if self.witness is not None:
+            object.__setattr__(self, "witness",
+                               MappingProxyType(self.witness))
 
     def to_json(self):
         return {
             "property": self.prop,
             "holds": self.holds,
-            "witness": self.witness,
+            "witness": None if self.witness is None else dict(self.witness),
             "failed_condition": self.failed_condition,
         }
+
+
+def _check(fn):
+    """``fn(spec, d[, cap])`` in the pattern's memo by what it reads, the
+    span of ``d`` and the resolved cap, so equal questions share it."""
+    memo = _memoized(wraps(fn)(
+        lambda spec, span, *cap: fn(spec, Domain(0, span), *cap)))
+    if "cap" not in inspect.signature(fn).parameters:
+        return wraps(fn)(lambda spec, d: memo(spec, d.span))
+    return wraps(fn)(lambda spec, d, cap=None: memo(
+        spec, d.span, chars._checked_cap(spec, cap)))
 
 
 def _fail(prop: str, condition: str) -> PropertyCheck:
@@ -129,7 +153,7 @@ def minimal_words(spec: PatternSpec) -> tuple[str, ...]:
 # --------------------------------------------------------------------------
 # Counting properties
 
-@_memoized
+@_check
 def nb_simple(spec: PatternSpec, d: Domain) -> PropertyCheck:
     """Some series of any length has no occurrence at all.
 
@@ -137,7 +161,8 @@ def nb_simple(spec: PatternSpec, d: Domain) -> PropertyCheck:
     series works; if every one carries an equality and the domain has two
     values, the alternating series works.
     """
-    inducing = sorted(chars.inducing_words(spec), key=sigregex.word_key)
+    inducing = tuple(sorted(chars.inducing_words(spec),
+                            key=sigregex.word_key))
     if all(any(ch != EQ for ch in w) for w in inducing):
         return PropertyCheck(
             "nb-simple", True,
@@ -186,7 +211,7 @@ def _glue_failure(
     return None
 
 
-@_memoized
+@_check
 def nb_overlap(
     spec: PatternSpec, d: Domain, cap: Optional[int] = None
 ) -> PropertyCheck:
@@ -263,7 +288,7 @@ def _carries_maximal(spec: PatternSpec, v: str, n: int, span: int) -> bool:
 _NO_OVERLAP_LENGTHS = 5
 
 
-@_memoized
+@_check
 def nb_no_overlap(
     spec: PatternSpec, d: Domain, cap: Optional[int] = None
 ) -> PropertyCheck:
@@ -286,7 +311,7 @@ def nb_no_overlap(
         return _fail(prop, "no-minimal-word")
     eta = chars.height(spec)
     w = chars.width(spec)
-    lengths = list(range(w + 1, w + 1 + _NO_OVERLAP_LENGTHS))
+    lengths = tuple(range(w + 1, w + 1 + _NO_OVERLAP_LENGTHS))
     deepest = "extension-blocked"
     for v in cands:
         glued = None
@@ -343,7 +368,7 @@ def width_max(spec: PatternSpec) -> PropertyCheck:
     )
 
 
-@_memoized
+@_check
 def width_sum(
     spec: PatternSpec, d: Domain, cap: Optional[int] = None
 ) -> PropertyCheck:
@@ -366,7 +391,7 @@ def width_sum(
     return PropertyCheck(prop, True, {"overlap": o, "a": spec.a, "b": spec.b})
 
 
-@_memoized
+@_check
 def width_occurrence(spec: PatternSpec, d: Domain) -> PropertyCheck:
     """A shortest pattern can occur un-extended within the domain.
 

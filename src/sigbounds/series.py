@@ -398,40 +398,52 @@ def maximal_occurrences(spec: PatternSpec, s: str) -> list[Occurrence]:
             for i, j in _maximal_spans(spec.aut, _series_of(s))]
 
 
-def _scan_stepper(spec: PatternSpec, m: int, span: int):
-    """The start key and the step of the walk over the reversed signatures
-    of ``m`` letters and height at most ``span``.  A key holds a prefix's
-    states in ``bounded_height_automaton(span)`` (level ``d.hi - x`` of a
-    domain ``d`` is set iff the letters read can start at value x), its
-    backward scan row of :func:`maximal_occurrences`, and its maximal
-    occurrences as (letters after the end, letters) in signature order.
-    The step takes a key, the next letter's depth and the letter, and
-    gives the longer prefix's key, or None once it leaves H_span."""
+@_memoized
+def _row_moves(spec: PatternSpec) -> dict:
+    """:func:`_scan_stepper`'s row steps by (row, letter), for every walk."""
+    return {}
+
+
+def _scan_stepper(spec: PatternSpec, span: int):
+    """The start key and the step of the walk over reversed signatures of
+    height at most ``span``.  A key holds a prefix's states in
+    ``bounded_height_automaton(span)`` (level ``d.hi - x`` of a domain
+    ``d`` is set iff the letters read can start at value x), its backward
+    scan row of :func:`maximal_occurrences` from the read position (per
+    state, the letters of the longest accepting run over those read, or
+    -1), and its maximal occurrences as (letters after the end, letters)
+    in signature order.  The step takes a key, the next letter's depth
+    and the letter, and gives the longer prefix's key, or None once it
+    leaves H_span; each (row, letter) step is built once per pattern."""
     heights = sigregex.bounded_height_automaton(span)
     aut = spec.aut
-    arcs = aut.arcs
+    accepting = list(states_of(aut.accepting))
     initial = list(states_of(aut.initial))
-    # the scan row at each depth before its letter: empty runs end at once
-    blank = [[k if aut.accepting >> q & 1 else m + 1
-              for q in range(aut.n_states)] for k in range(m + 1)]
+    moves = _row_moves(spec)
 
     def step(key: tuple, depth: int, letter: str) -> Optional[tuple]:
-        states, far, chain = key
+        states, row, chain = key
         states = heights.step(states, letter)
         if not states:
             return None
-        nxt = blank[depth][:]
-        for q, r in arcs[letter]:
-            if far[r] < nxt[q]:
-                nxt[q] = far[r]
-        after = min(map(nxt.__getitem__, initial))
-        if after < depth:
+        try:
+            row, longest = moves[row, letter]
+        except KeyError:
+            # the row after position 0 holds ends one letter further on
+            nxt = tuple(_far_step(aut, accepting, [
+                x + 1 if x >= 0 else -1 for x in row], 0, letter))
+            moves[row, letter] = nxt, max(map(nxt.__getitem__, initial))
+            row, longest = moves[row, letter]
+        if longest > 0:
             # the new start's match covers each later one ending no further
-            chain = ((after, depth - after),) + tuple(
+            after = depth - longest
+            chain = ((after, longest),) + tuple(
                 o for o in chain if o[0] < after)
-        return states, tuple(nxt), chain
+        return states, row, chain
 
-    return (heights.initial, tuple(blank[0]), ()), step
+    start = tuple(0 if aut.accepting >> q & 1 else -1
+                  for q in range(aut.n_states))
+    return (heights.initial, start, ()), step
 
 
 def _signature_levels(spec: PatternSpec, m: int, span: int,
@@ -441,9 +453,10 @@ def _signature_levels(spec: PatternSpec, m: int, span: int,
     reversed, level by level with prefixes merged: level k maps each key
     of :func:`_scan_stepper` that a prefix of k letters reaches to the
     least such prefix, since prefixes with one key have the same
-    continuations.  ``letters[k - 1]``, when given, holds the letters
-    allowed at depth k."""
-    start, step = _scan_stepper(spec, m, span)
+    continuations; a key's row does not depend on ``m``, so every walk of
+    a pattern reads its steps off one table.  ``letters[k - 1]``, when
+    given, holds the letters allowed at depth k."""
+    start, step = _scan_stepper(spec, span)
     level = {start: ""}
     yield level
     for depth in range(1, m + 1):

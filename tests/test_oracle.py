@@ -3,6 +3,7 @@ the sweep that certifies every closed-form bound against enumeration."""
 
 import itertools
 import math
+import os
 import random
 import re
 from collections import Counter
@@ -159,6 +160,32 @@ class TestCellExtrema:
                 n_range=[4], domains=[Domain(0, 1)], bound_fn=surf_bound)
 
 
+class TestRawSweep:
+    # The draw: every one-branch raw regex and 600 two-branch unions of
+    # them.  A seeded slice certifies in about 2 s; SIGBOUNDS_RAW_SWEEP=all
+    # certifies the whole draw to n = 8 instead (10–13 s).
+    SLICE = 200
+    # its nb lower bound was once flagged sharp though every series of
+    # four or more values over 0:1 holds an occurrence
+    NAMED = ["=*=?(>=)*(<>)*"]
+
+    def test_raw_regexes_certify(self, capfd):
+        draw = raw_universe() + _two_branch_unions(12, 600)
+        if os.environ.get("SIGBOUNDS_RAW_SWEEP") == "all":
+            exprs, ns = draw, range(2, 9)
+        else:
+            exprs = random.Random(26).sample(draw, self.SLICE)
+            ns = range(2, 8)
+        rep = orc.sharpness_report(
+            [PatternSpec(e, e) for e in self.NAMED + exprs], n_range=ns)
+        got = rep.summary()
+        with capfd.disabled():
+            print(f"RAW SWEEP: {len(self.NAMED + exprs)} regexes, n up to "
+                  f"{ns[-1]}: {got['rows']} rows, {got['skipped']} skipped, "
+                  f"{got['failed']} failed", flush=True)
+        assert rep.ok, [r.to_json() for r in rep.failures[:5]]
+
+
 class TestSignatureLevels:
     @pytest.mark.parametrize(
         "spec", [e.spec for e in cat.all_entries()]
@@ -220,6 +247,40 @@ class TestSignatureLevels:
         # 2,697 + 24,165
         assert 0 < calls[0] < 12000
         assert pr._carries_maximal(PEAK, "<>", 10, 3)
+
+    def test_a_longer_wider_walk_files_every_shorter_narrower_step(self):
+        spec = PatternSpec(PEAK.name, PEAK.expr, PEAK.a, PEAK.b)
+        for _ in _signature_levels(spec, 9, 3):
+            pass
+        moves = series._row_moves(spec)
+        filed = dict(moves)
+        for span in (0, 1, 2, 3):
+            for m in range(10):
+                for _ in _signature_levels(spec, m, span):
+                    pass
+        for n in range(4, 11):
+            for span in (1, 2, 3):
+                pr._carries_maximal(spec, "<>", n, span)
+        assert moves == filed
+
+    @pytest.mark.parametrize("name", ["peak", "steady", "zigzag"])
+    def test_the_default_grid_builds_each_step_once(self, name,
+                                                    monkeypatch):
+        far_step, built = series._far_step, [0]
+
+        def counted(*args):
+            built[0] += 1
+            return far_step(*args)
+
+        monkeypatch.setattr(series, "_far_step", counted)
+        entry = cat.lookup(name)
+        spec = PatternSpec(entry.name, entry.expr, entry.a, entry.b)
+        gfs = [(g, f) for g, f, _ in orc.GF_SUPPORTED]
+        for span in (1, 2, 3):
+            for n in range(2, 8):
+                orc._cell_extrema(spec, n, Domain(0, span), gfs)
+        # the rows, not the length or the span, name a step
+        assert built[0] == len(series._row_moves(spec)) < 100
 
 
 class TestSignatureSupport:

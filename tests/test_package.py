@@ -202,3 +202,15 @@ def test_one_function_reads_the_scan_row_table():
         found |= {(path.stem, where, name) for where, name in reads.found}
     assert found == {("series", "_maximal_spans", "_scan_rows"),
                      ("series", "_maximal_spans", "_RowTable")}
+
+
+def test_one_function_reads_the_walk_row_table():
+    # the signature walk has one row stepper; a second one would have to
+    # keep the table's rows and their tie rules in step with the first
+    package = Path(sigbounds.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        reads = _Reads({"_row_moves"})
+        reads.visit(ast.parse(path.read_text("utf-8")))
+        found |= {(path.stem, where, name) for where, name in reads.found}
+    assert found == {("series", "_scan_stepper", "_row_moves")}

@@ -1,5 +1,7 @@
 """Structural property decisions and the witnesses they return."""
 
+import json
+
 import pytest
 
 from helpers import carries_maximal_per_word, raw_universe
@@ -86,7 +88,7 @@ class TestNbSimple:
         got = pr.nb_simple(PEAK, Domain(0, 0))
         assert got.holds
         assert got.witness == {
-            "inducing": ["<>"], "avoiding_series": "constant"}
+            "inducing": ("<>",), "avoiding_series": "constant"}
 
     def test_equality_pattern_needs_two_values(self):
         flat = pr.nb_simple(STEADY, Domain(0, 0))
@@ -95,7 +97,7 @@ class TestNbSimple:
         wide = pr.nb_simple(STEADY, Domain(0, 1))
         assert wide.holds
         assert wide.witness == {
-            "inducing": ["="], "avoiding_series": "alternating"}
+            "inducing": ("=",), "avoiding_series": "alternating"}
 
     def test_holds_across_catalogue_at_positive_span(self):
         for e in cat.all_entries():
@@ -146,7 +148,7 @@ class TestNbNoOverlap:
         assert got.holds
         assert got.witness == {
             "v": ">",
-            "lengths_checked": [2, 3, 4, 5, 6],
+            "lengths_checked": (2, 3, 4, 5, 6),
             "glued_non_factor": "><>",
         }
         assert not DEC_SEQ.aut.is_factor("><>")
@@ -274,3 +276,44 @@ class TestPropertyCheck:
             "property": "nb-overlap", "holds": False,
             "witness": None, "failed_condition": "no-superposition",
         }
+        # a frozen list still prints as a JSON list
+        assert json.dumps(pr.nb_simple(PEAK, Domain(0, 0)).to_json()) == (
+            '{"property": "nb-simple", "holds": true, "witness": '
+            '{"inducing": ["<>"], "avoiding_series": "constant"}, '
+            '"failed_condition": null}')
+
+    def test_a_witness_cannot_be_changed(self):
+        for check in (pr.nb_simple(DEC_SEQ, Domain(0, 1)),
+                      pr.nb_no_overlap(DEC_SEQ, Domain(0, 1)),
+                      pr.nb_overlap(PEAK, Domain(0, 1)),
+                      pr.width_max(PEAK),
+                      pr.width_sum(PEAK, Domain(0, 1)),
+                      pr.width_occurrence(PEAK, Domain(0, 1))):
+            assert check.holds, check
+            before = check.to_json()
+            with pytest.raises(TypeError):
+                check.witness["v"] = "changed"
+            for value in check.witness.values():
+                assert isinstance(value, (str, int, tuple)), check
+            assert check.to_json() == before
+
+    def test_equal_questions_share_one_memo_entry(self):
+        spec = PatternSpec(PEAK.name, PEAK.expr, PEAK.a, PEAK.b)
+        cap = ch.default_cap(spec)
+        for check, asks in [
+                (pr.nb_simple, [(Domain(0, 1),), (Domain(5, 6),)]),
+                (pr.width_occurrence, [(Domain(0, 1),), (Domain(5, 6),)]),
+                *[(check, [(Domain(0, 1),), (Domain(0, 1), None),
+                           (Domain(5, 6),), (Domain(0, 1), cap),
+                           (Domain(3, 4), cap)])
+                  for check in (pr.nb_overlap, pr.nb_no_overlap,
+                                pr.width_sum)]]:
+            answers = [check(spec, *args) for args in asks]
+            assert all(a is answers[0] for a in answers), check.__name__
+            assert sum(key[0].__name__ == check.__name__
+                       for key in spec._memo) == 1, check.__name__
+        # a different span or cap is a different question
+        pr.nb_overlap(spec, Domain(0, 2))
+        pr.nb_overlap(spec, Domain(0, 1), cap + 1)
+        assert sum(key[0].__name__ == "nb_overlap"
+                   for key in spec._memo) == 3
