@@ -3,11 +3,13 @@ overlap and smallest variation of maxima.
 
 Width and height are plain language measures.  The range function reports,
 for a series length, the smallest domain span admitting an occurrence; exact
-length sets decide which affine template in n it follows, if any.  The
-remaining three describe how occurrences interact when packed tightly:
-superpositions are the words gluing two occurrences together, the overlap
-counts the variables two adjacent patterns can share, and the smallest
-variation measures how the maxima of glued patterns must differ.
+length sets decide which affine template in n it follows, if any.  Height
+and range walk keys: a state with the run counter of :func:`word_height`,
+under the least height reaching it.  The remaining three describe how
+occurrences interact when packed tightly: superpositions are the words
+gluing two occurrences together, the overlap counts the variables two
+adjacent patterns can share, and the smallest variation measures how the
+maxima of glued patterns must differ.
 
 Overlap and variation quantify over all pairs of language words, so they are
 computed under a length cap with a stability probe: a value is reported as
@@ -23,12 +25,11 @@ with the pattern.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, islice, product
-from typing import Callable, Iterable, Optional
+from itertools import chain, count, islice, product
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import sigregex
 from .series import (Domain, PatternSpec, _maximal_spans, _memoized,
@@ -135,31 +136,73 @@ def width(spec: PatternSpec) -> int:
     return w
 
 
+def _counter_step(aut: sigregex.Automaton, level: tuple) -> tuple:
+    """The key level one letter past ``level``: the run counter steps as in
+    :func:`word_height`, each (state, c) under its least height."""
+    reached: dict[tuple[int, int], int] = {}
+    for low, c, states in level:
+        for letter, d in ((LT, c + 1 if c > 0 else 1), (sigregex.EQ, c),
+                          (GT, c - 1 if c < 0 else -1)):
+            if ends := aut.step(states, letter):
+                key = (max(low, d, -d), d)
+                reached[key] = reached.get(key, 0) | ends
+    seen, out = {}, []
+    for (low, c), states in sorted(reached.items()):
+        if states & ~seen.get(c, 0):
+            out.append((low, c, states & ~seen.get(c, 0)))
+            seen[c] = seen.get(c, 0) | states
+    return tuple(out)
+
+
+# the levels of _key_levels read so far, in the pattern's memo
+_key_walk = _memoized(lambda spec: [((0, 0, spec.aut.initial),)])
+
+
+def _key_levels(spec: PatternSpec) -> Iterator[tuple]:
+    """The keys reached by the words of 0, 1, 2, ... letters, without end:
+    each (state, run counter c) once, under its least height, in a sorted
+    tuple of (height, c, states) per level, stepped once per pattern.  The
+    keys of height at most h are the walk within h."""
+    levels = _key_walk(spec)
+    for k in count():
+        if k == len(levels):
+            levels.append(_counter_step(spec.aut, levels[-1]))
+        yield levels[k]
+
+
 @_memoized
-def _supportable(spec: PatternSpec, h: int) -> sigregex.Automaton:
-    """The language restricted to words of height at most h."""
-    return spec.aut.intersect(bounded_height_automaton(h))
+def _shortest_supportable(spec: PatternSpec, h: int) -> Optional[int]:
+    """Length of a shortest nonempty language word of height at most h, or
+    None: the width from h = width on, else breadth first within h up to an
+    empty level, as such a word visits a key once after a letter."""
+    if h >= width(spec):
+        return width(spec)
+    levels = islice(_key_levels(spec), 1, spec.aut.n_states * (2 * h + 1) + 1)
+    for k, level in enumerate(levels, 1):
+        within = [states for low, _, states in level if low <= h]
+        if not within or any(states & spec.aut.accepting for states in within):
+            return k if within else None
+    return None
 
 
 @_memoized
 def height(spec: PatternSpec) -> int:
-    """Smallest h such that some nonempty language word has height h.
+    """Smallest h such that some nonempty language word has height h: the
+    first h whose key walk within height h accepts after a letter or more.
 
     Never exceeds the width, since a word of length k has height at most k.
     """
-    for h in range(width(spec) + 1):
-        low = _supportable(spec, h)
-        if not low.is_empty and low.shortest_nonempty_length() is not None:
-            return h
-    raise AssertionError("height must not exceed width")
+    return next(h for h in range(width(spec) + 1)
+                if _shortest_supportable(spec, h) is not None)
 
 
+@_memoized
 def range_of(spec: PatternSpec, n: int) -> CharValue:
     """Smallest domain span allowing an occurrence in a series of length n.
 
     Equivalently: the least h such that the language contains a word of
     length n - 1 and height at most h.  Undefined when no such word exists.
-    Read off the template if one holds, else bisected: H_h is in H_{h+1}.
+    Read off the template if one holds, else off the key walk.
     """
     if n < 2:
         raise CharacteristicsError("series length must be at least 2")
@@ -168,20 +211,20 @@ def range_of(spec: PatternSpec, n: int) -> CharValue:
     if (ec := range_params(spec)) and n >= width(spec) + 2:
         e, c = ec
         return CharValue.defined(e * (n - 1 - height(spec)) + c + height(spec))
-    return CharValue.defined(bisect_left(
-        range(n - 1), True,
-        key=lambda h: _supportable(spec, h).has_length(n - 1)))
+    level = next(islice(_key_levels(spec), n - 1, None))
+    return CharValue.defined(min(low for low, _, states in level
+                                 if states & spec.aut.accepting))
 
 
-def _lengths_from(aut: sigregex.Automaton, m: int, present: bool) -> bool:
-    """Whether every length from m on is present in aut, or none is.  Each
-    set follows from the one before, so the walk stops at the first that
-    fails, or at a repeat, when every later length has been read."""
-    seen: set[int] = set()
-    for states in islice(aut._length_sets(), m, None):
-        if states in seen or bool(states & aut.accepting) != present:
-            return states in seen
+def _lengths_from(sets: Iterator, m: int, label: Callable) -> set:
+    """The labels of the sets from the m-th on of a walk whose k-th set is
+    reached by the words of k letters: up to a repeat or a second label."""
+    seen, labels = set(), set()
+    for states in islice(sets, m, None):
+        if states in seen or len(labels) > 1:
+            return labels
         seen.add(states)
+        labels.add(label(states))
 
 
 @lru_cache(maxsize=None)
@@ -199,17 +242,23 @@ def range_params(spec: PatternSpec) -> Optional[tuple[int, int]]:
 
     With m = omega + 1 letters and on: (0, 0) when L within height eta has
     every length; (0, 1) when it has none but L within height eta + 1 has
-    every one; (1, 0) when L has every length and no non-monotone word.
+    every one, both read off the least accepting height of one key walk;
+    (1, 0) when L has every length and no non-monotone word.
     """
-    m, eta = width(spec) + 1, height(spec)
-    low = _supportable(spec, eta)
-    if _lengths_from(low, m, True):
-        return (0, 0)
-    if (_lengths_from(low, m, False)
-            and _lengths_from(_supportable(spec, eta + 1), m, True)):
-        return (0, 1)
-    if (_lengths_from(spec.aut, m, True)
-            and _lengths_from(spec.aut.intersect(_non_monotone()), m, False)):
+    m, eta, aut = width(spec) + 1, height(spec), spec.aut
+    within = (tuple(key for key in level if key[0] <= eta + 1)
+              for level in _key_levels(spec))
+    fit = _lengths_from(within, m, lambda keys: min(
+        (low for low, _, states in keys if states & aut.accepting),
+        default=None))
+    if fit in ({eta}, {eta + 1}):
+        return (0, fit.pop() - eta)
+
+    def present(a: sigregex.Automaton) -> set:
+        return _lengths_from(a._length_sets(), m,
+                             lambda states: bool(states & a.accepting))
+    if present(aut) == {True} and present(
+            aut.intersect(_non_monotone())) == {False}:
         return (1, 0)
     return None
 

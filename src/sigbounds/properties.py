@@ -82,7 +82,7 @@ def occurrence_feasible(spec: PatternSpec, n: int, d: Domain) -> bool:
     height at most the span: padding such a word with equalities keeps its
     height, and a factor is never higher than its word.
     """
-    shortest = _shortest_supportable(spec, d.span)
+    shortest = chars._shortest_supportable(spec, d.span)
     return shortest is not None and shortest <= n - 1
 
 
@@ -134,12 +134,6 @@ def _factor_free(spec: PatternSpec, span: int) -> sigregex.Automaton:
                     keys.append(key)
                 arcs[ch].append((at, index[key]))
     return sigregex.Automaton(len(keys), 1, (1 << len(keys)) - 1, arcs)
-
-
-@_memoized
-def _shortest_supportable(spec: PatternSpec, span: int) -> Optional[int]:
-    """Length of a shortest nonempty language word of height <= span."""
-    return chars._supportable(spec, span).shortest_nonempty_length()
 
 
 @_memoized

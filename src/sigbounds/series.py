@@ -212,22 +212,20 @@ def signature(t: TimeSeries | Sequence[int]) -> str:
 def word_height(word: str) -> int:
     """Fewest levels (minus one) any series with this signature must span.
 
-    Scanning maximal factors that avoid one of the strict letters: a factor
-    without ``>`` forces as many climbs as it has ``<``, and dually.  The
-    height is the largest such count; the empty word has height 0.
+    A factor without ``>`` forces as many climbs as it has ``<``, and
+    dually, so one signed run counter c reads the word: ``<`` makes it
+    max(c, 0) + 1, ``>`` makes it min(c, 0) - 1 and ``=`` keeps it.  The
+    height is the largest |c|; the empty word has height 0.
     """
     check_word(word)
-    best = 0
-    for avoid, strict in ((GT, LT), (LT, GT)):
-        count = 0
-        for ch in word:
-            if ch == avoid:
-                count = 0
-            elif ch == strict:
-                count += 1
-                if count > best:
-                    best = count
-        # counts reset on the avoided letter only; '=' keeps the run alive
+    best = c = 0
+    for ch in word:
+        if ch == LT:
+            c = c + 1 if c > 0 else 1
+        elif ch == GT:
+            c = c - 1 if c < 0 else -1
+        if abs(c) > best:
+            best = abs(c)
     return best
 
 

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from helpers import least_support, naive_range, naive_shift, raw_universe
+from helpers import (height_oracle, least_support, naive_range, naive_shift,
+                     raw_universe)
 from sigbounds import catalogue as cat
 from sigbounds import characteristics as ch
 from sigbounds import properties as pr
@@ -119,16 +120,25 @@ class TestRange:
                     CharValue.undefined() if want is None
                     else CharValue.defined(want)), (spec.name, n)
 
-    def test_long_series_need_few_products(self):
-        # the climb reads its (1, 0) template; the other has none, so h is
-        # bisected
+    def test_long_series_walk_keys_not_products(self, monkeypatch):
+        # the climb reads its (1, 0) template; the other has none, so its
+        # range is read off one pass of 999 letters over the keys, whose
+        # level j holds about j / 2 of them (250,514 in all), and no
+        # height-bounded automaton is built
         climb = PatternSpec("climb", "<+")
         even = PatternSpec("even", "(<<)*>+")
+        step, visited = ch._counter_step, []
+
+        def counting(aut, level):
+            visited.append(len(level))
+            return step(aut, level)
+
+        monkeypatch.setattr(ch, "_counter_step", counting)
+        built = sigregex.bounded_height_automaton.cache_info().currsize
         assert ch.range_of(climb, 400) == CharValue.defined(399)
-        assert ch.range_of(even, 250) == CharValue.defined(125)
-        products = [key for spec in (climb, even) for key in spec._memo
-                    if key[0] is ch._supportable.__wrapped__]
-        assert len(products) <= 20
+        assert ch.range_of(even, 1000) == CharValue.defined(500)
+        assert sum(visited) <= 260_000
+        assert sigregex.bounded_height_automaton.cache_info().currsize == built
 
     def test_template_matches_listed_words(self):
         # the decided template against the least height of listed words
@@ -158,6 +168,42 @@ class TestRange:
         assert ch.range_params(DEC) is None
         assert ch.range_params(STEADY) is None
         assert ch.range_params(BUMP) is None
+
+
+class TestKeyWalk:
+    def test_matches_listed_words(self):
+        # height, shortest supportable length, range template and range,
+        # read off the (state, run counter) keys, against the listed words
+        # of at most 12 letters, the height of each found by constraints
+        raw = raw_universe()
+        rng = random.Random(12)
+        exprs = raw + ["|".join(rng.sample(raw, 2)) for _ in range(200)]
+        specs = ([e.spec for e in cat.all_entries()]
+                 + [PatternSpec(e, e) for e in exprs])
+        heights: dict[str, int] = {}
+        for spec in specs:
+            words = [u for u in spec.aut.words_up_to(12) if u]
+            for u in words:
+                if u not in heights:
+                    heights[u] = height_oracle(u)
+            assert ch.height(spec) == min(map(heights.get, words)), spec.name
+            for span in range(5):
+                got = ch._shortest_supportable(spec, span)
+                assert (got if got is not None and got <= 12 else None) == min(
+                    (len(u) for u in words if heights[u] <= span),
+                    default=None), (spec.name, span)
+            omega, eta = ch.width(spec), ch.height(spec)
+            ns = range(omega + 2, omega + 13)
+            got = [naive_range(spec, n) for n in ns]
+            assert ch.range_params(spec) == next(
+                ((e, c) for e, c in ((0, 0), (0, 1), (1, 0))
+                 if got == [e * (n - 1 - eta) + c + eta for n in ns]),
+                None), spec.name
+            for n in range(2, 14):
+                want = naive_range(spec, n)
+                assert ch.range_of(spec, n) == (
+                    CharValue.undefined() if want is None
+                    else CharValue.defined(want)), (spec.name, n)
 
 
 class TestInducingWords:

@@ -108,6 +108,25 @@ class TestChars:
         assert p.returncode == 2
         assert "cap 2 is below 3" in p.stderr
 
+    def test_long_series_range_without_template(self):
+        p = run("chars", "(<<)*>+", "--n", "1000", "--hi", "3")
+        assert p.returncode == 0
+        assert "range     : 500" in p.stdout
+        # the whole report, byte for byte
+        p = run("chars", "(<<)*>+", "--n", "250", "--hi", "3")
+        assert p.returncode == 0
+        assert p.stdout == (
+            "pattern   : (<<)*>+\n"
+            "expr      : (<<)*>+  (a=0, b=0)\n"
+            "domain    : [0,3]  n=250  cap=4\n"
+            "width     : 1\n"
+            "height    : 1\n"
+            "range     : 125\n"
+            "range fit : e=- c=-\n"
+            "inducing  : >\n"
+            "overlap   : 1\n"
+            "variation : 0\n")
+
 
 class TestBound:
     def test_human_output(self):

@@ -214,3 +214,22 @@ def test_one_function_reads_the_walk_row_table():
         reads.visit(ast.parse(path.read_text("utf-8")))
         found |= {(path.stem, where, name) for where, name in reads.found}
     assert found == {("series", "_scan_stepper", "_row_moves")}
+
+
+def test_height_questions_walk_keys_not_products():
+    # height and range read the (state, run counter) keys, so no function
+    # builds the product of a language with a height-bounded automaton,
+    # and one function steps the counter: a second stepper would have to
+    # keep the run rule of word_height in step with the first
+    package = Path(sigbounds.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        reads = _Reads({"intersect", "bounded_height_automaton",
+                        "_counter_step"})
+        reads.visit(ast.parse(path.read_text("utf-8")))
+        found |= {(name, (path.stem, where)) for where, name in reads.found}
+    readers = {name: {at for read, at in found if read == name}
+               for name in ("intersect", "bounded_height_automaton",
+                            "_counter_step")}
+    assert not readers["intersect"] & readers["bounded_height_automaton"]
+    assert readers["_counter_step"] == {("characteristics", "_key_levels")}

@@ -294,9 +294,10 @@ class TestAgainstNaiveMatcher:
         # every length from m on, or none
         for m in range(n + 2):
             tail = [k in lengths for k in range(m, far + 1)]
-            assert ch._lengths_from(aut, m, True) == all(tail), (node, m)
-            assert ch._lengths_from(aut, m, False) == (not any(tail)), \
-                (node, m)
+            got = ch._lengths_from(aut._length_sets(), m,
+                                   lambda states: bool(states & aut.accepting))
+            assert (got == {True}) == all(tail), (node, m)
+            assert (got == {False}) == (not any(tail)), (node, m)
         factors = naive_factors(node, 3)
         for w in SHORT_WORDS:
             assert aut.is_factor(w) == (w in factors), (node, w)
