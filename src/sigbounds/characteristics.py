@@ -2,14 +2,14 @@
 overlap and smallest variation of maxima.
 
 Width and height are plain language measures.  The range function reports,
-for a series length, the smallest domain span admitting an occurrence; exact
-length sets decide which affine template in n it follows, if any.  Height
-and range walk keys: a state with the run counter of :func:`word_height`,
-under the least height reaching it.  The remaining three describe how
-occurrences interact when packed tightly: superpositions are the words
-gluing two occurrences together, the overlap counts the variables two
-adjacent patterns can share, and the smallest variation measures how the
-maxima of glued patterns must differ.
+for a series length, the smallest domain span admitting an occurrence, and
+which affine template in n it follows, if any.  Height, range and template
+walk keys, with no automaton product: a state with the run counter of
+:func:`word_height`, under the least height reaching it.  The remaining
+three describe how occurrences interact when packed tightly: superpositions
+are the words gluing two occurrences together, the overlap counts the
+variables two adjacent patterns can share, and the smallest variation
+measures how the maxima of glued patterns must differ.
 
 Overlap and variation quantify over all pairs of language words, so they are
 computed under a length cap with a stability probe: a value is reported as
@@ -20,14 +20,16 @@ reaches or accepts from with the height levels it can end or start on,
 and decides each seam length on pairs of classes.  Both read the domain
 only through its span, so each walk is made once per (pattern, span, cap)
 and kept, like the plain language measures, in the pattern's memo, freed
-with the pattern.
+with the pattern.  One rule, :func:`_by_span`, keys overlap, variation and
+the property checks there by span and resolved cap.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import wraps
 from itertools import chain, count, islice, product
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -217,8 +219,9 @@ def range_of(spec: PatternSpec, n: int) -> CharValue:
 
 
 def _lengths_from(sets: Iterator, m: int, label: Callable) -> set:
-    """The labels of the sets from the m-th on of a walk whose k-th set is
-    reached by the words of k letters: up to a repeat or a second label."""
+    """The labels of the sets from the m-th on of a walk whose every set
+    from there follows from the one before: up to a repeat or a second
+    label."""
     seen, labels = set(), set()
     for states in islice(sets, m, None):
         if states in seen or len(labels) > 1:
@@ -227,23 +230,18 @@ def _lengths_from(sets: Iterator, m: int, label: Callable) -> set:
         labels.add(label(states))
 
 
-@lru_cache(maxsize=None)
-def _non_monotone() -> sigregex.Automaton:
-    """Words holding ``=`` or both strict letters: exactly those whose
-    height is below their length.  Compiled on first use."""
-    return sigregex.compile(sigregex.parse(
-        "(<|=|>)*(=|<(<|=|>)*>|>(<|=|>)*<)(<|=|>)*"))
-
-
 @_memoized
 def range_params(spec: PatternSpec) -> Optional[tuple[int, int]]:
     """The affine template e*(n - 1 - eta) + c + eta the range follows at
     every n >= omega + 2, decided exactly, or None when none holds.
 
-    With m = omega + 1 letters and on: (0, 0) when L within height eta has
-    every length; (0, 1) when it has none but L within height eta + 1 has
-    every one, both read off the least accepting height of one key walk;
-    (1, 0) when L has every length and no non-monotone word.
+    All three are read off the key walk from m = omega + 1 letters on:
+    (0, 0) when L within height eta has every length; (0, 1) when it has
+    none but L within height eta + 1 has every one, both by the least
+    accepting height; (1, 0) when L has every length and no non-monotone
+    word.  Only ``<`` * k takes the run counter to k, and only ``>`` * k to
+    -k, so a level of k letters splits into the states of those two words
+    and of the rest; for k >= 1 each split follows from the one before.
     """
     m, eta, aut = width(spec) + 1, height(spec), spec.aut
     within = (tuple(key for key in level if key[0] <= eta + 1)
@@ -254,13 +252,16 @@ def range_params(spec: PatternSpec) -> Optional[tuple[int, int]]:
     if fit in ({eta}, {eta + 1}):
         return (0, fit.pop() - eta)
 
-    def present(a: sigregex.Automaton) -> set:
-        return _lengths_from(a._length_sets(), m,
-                             lambda states: bool(states & a.accepting))
-    if present(aut) == {True} and present(
-            aut.intersect(_non_monotone())) == {False}:
-        return (1, 0)
-    return None
+    def split(k: int, level: tuple) -> tuple[int, ...]:
+        out = [0, 0, 0]
+        for _, c, states in level:
+            out[2 if abs(c) < k else c < 0] |= states
+        return tuple(out)
+    monotone = _lengths_from(
+        map(split, count(), _key_levels(spec)), m,
+        lambda s: bool((s[0] | s[1]) & aut.accepting)
+        and not s[2] & aut.accepting)
+    return (1, 0) if monotone == {True} else None
 
 
 @_memoized
@@ -316,6 +317,18 @@ def _checked_cap(spec: PatternSpec, cap: Optional[int]) -> int:
             f"cap {cap} is below {least}, the least cap for {spec.name}"
         )
     return cap
+
+
+def _by_span(fn):
+    """``fn(spec, d[, cap])`` in the pattern's memo by what it reads, the
+    span of ``d`` and the resolved cap, so equal questions share it: the
+    one memo rule of every question about a domain."""
+    memo = _memoized(wraps(fn)(
+        lambda spec, span, *cap: fn(spec, Domain(0, span), *cap)))
+    if "cap" not in inspect.signature(fn).parameters:
+        return wraps(fn)(lambda spec, d: memo(spec, d.span))
+    return wraps(fn)(lambda spec, d, cap=None: memo(
+        spec, d.span, _checked_cap(spec, cap)))
 
 
 def superpositions(spec: PatternSpec, v: str, w: str, d: Domain) -> list[str]:
@@ -467,14 +480,10 @@ def _stabilize(measure: Callable[[int], Optional[int]],
     return CharValue.cap_limited(v2, cap + 2)
 
 
+@_by_span
 def overlap(spec: PatternSpec, d: Domain, cap: Optional[int] = None) -> CharValue:
     """Maximum overlap over all pairs of language words, cap-stabilized."""
-    return _overlap(spec, d.span, _checked_cap(spec, cap))
-
-
-@_memoized
-def _overlap(spec: PatternSpec, span: int, cap: int) -> CharValue:
-    return _stabilize(_max_overlaps(spec, span, cap + 2).__getitem__, cap)
+    return _stabilize(_max_overlaps(spec, d.span, cap + 2).__getitem__, cap)
 
 
 # --------------------------------------------------------------------------
@@ -628,6 +637,7 @@ def _variations(spec: PatternSpec, span: int,
     return tuple(out)
 
 
+@_by_span
 def smallest_variation(
     spec: PatternSpec, d: Domain, cap: Optional[int] = None
 ) -> CharValue:
@@ -636,12 +646,7 @@ def smallest_variation(
     0 when nothing overlaps; Undefined when pairs vary in both directions;
     otherwise cap-stabilized like the overlap.
     """
-    return _smallest_variation(spec, d.span, _checked_cap(spec, cap))
-
-
-@_memoized
-def _smallest_variation(spec: PatternSpec, span: int, cap: int) -> CharValue:
-    vals = _variations(spec, span, cap)
+    vals = _variations(spec, d.span, cap)
     return _stabilize(lambda c: vals[c - cap], cap)
 
 

@@ -310,8 +310,7 @@ def cmd_eval(gf: str, pattern: str, series: str, fmt: str) -> None:
         return
     if fmt in ("md", "csv"):
         headers = ["i", "j", "trim_lo", "trim_hi", f.value]
-        rows = [[str(dd["i"]), str(dd["j"]), str(dd["trim_lo"]),
-                 str(dd["trim_hi"]), str(dd[f.value])] for dd in details]
+        rows = [[str(dd[h]) for h in headers] for dd in details]
         _emit_table(fmt, headers, rows)
         click.echo(f"{g.value} of {f.value} = {fmt_ext(value)}")
         return
@@ -495,11 +494,7 @@ def cmd_table(which: str, diff_golden: bool, fmt: str) -> None:
         keyed.sort(key=lambda item: (_CLASS_ORDER.index(item[0]), item[1]))
         rows = [[name, _CLASS_LABELS[cls], o1, o2]
                 for cls, name, o1, o2 in keyed]
-        dicts = [
-            {"name": name, "class": _CLASS_LABELS[cls],
-             "overlap_at_height": o1, "overlap_wider": o2}
-            for cls, name, o1, o2 in keyed
-        ]
+        dicts = [dict(zip(headers, row)) for row in rows]
         if fmt == "human":
             for cls in _CLASS_ORDER:
                 group = [item for item in keyed if item[0] == cls]

@@ -13,9 +13,7 @@ no caller can change what the next one reads.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from functools import wraps
 from itertools import islice, product
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -58,17 +56,6 @@ class PropertyCheck:
             "witness": None if self.witness is None else dict(self.witness),
             "failed_condition": self.failed_condition,
         }
-
-
-def _check(fn):
-    """``fn(spec, d[, cap])`` in the pattern's memo by what it reads, the
-    span of ``d`` and the resolved cap, so equal questions share it."""
-    memo = _memoized(wraps(fn)(
-        lambda spec, span, *cap: fn(spec, Domain(0, span), *cap)))
-    if "cap" not in inspect.signature(fn).parameters:
-        return wraps(fn)(lambda spec, d: memo(spec, d.span))
-    return wraps(fn)(lambda spec, d, cap=None: memo(
-        spec, d.span, chars._checked_cap(spec, cap)))
 
 
 def _fail(prop: str, condition: str) -> PropertyCheck:
@@ -147,7 +134,7 @@ def minimal_words(spec: PatternSpec) -> tuple[str, ...]:
 # --------------------------------------------------------------------------
 # Counting properties
 
-@_check
+@chars._by_span
 def nb_simple(spec: PatternSpec, d: Domain) -> PropertyCheck:
     """Some series of any length has no occurrence at all.
 
@@ -183,29 +170,7 @@ _NB_OVERLAP_RANK = {
 }
 
 
-def _glue_failure(
-    spec: PatternSpec,
-    z: str,
-    first: str,
-    second: str,
-    o: int,
-    delta: int,
-    eta: int,
-    check_equation: bool,
-) -> Optional[str]:
-    """First condition a candidate superposition violates, None if all pass."""
-    if len(first) + len(second) - len(z) + 1 != o:
-        return "overlap-equals-max"
-    if spec.aut.is_factor(z):
-        return "superposition-not-factor"
-    if word_height(z) != eta + abs(delta):
-        return "superposition-height"
-    if check_equation and chars._shift_gap(spec, z, first, second) != delta:
-        return "variation-equation"
-    return None
-
-
-@_check
+@chars._by_span
 def nb_overlap(
     spec: PatternSpec, d: Domain, cap: Optional[int] = None
 ) -> PropertyCheck:
@@ -241,10 +206,16 @@ def nb_overlap(
 
     def glued(first: str, second: str, check: bool) -> Optional[str]:
         for z in chars.superpositions(spec, first, second, d):
-            bad = _glue_failure(spec, z, first, second, o, delta, eta, check)
-            if bad is None:
+            if len(first) + len(second) - len(z) + 1 != o:
+                note("overlap-equals-max")
+            elif spec.aut.is_factor(z):
+                note("superposition-not-factor")
+            elif word_height(z) != eta + abs(delta):
+                note("superposition-height")
+            elif check and chars._shift_gap(spec, z, first, second) != delta:
+                note("variation-equation")
+            else:
                 return z
-            note(bad)
         return None
 
     grow = LT if delta > 0 else GT
@@ -282,7 +253,7 @@ def _carries_maximal(spec: PatternSpec, v: str, n: int, span: int) -> bool:
 _NO_OVERLAP_LENGTHS = 5
 
 
-@_check
+@chars._by_span
 def nb_no_overlap(
     spec: PatternSpec, d: Domain, cap: Optional[int] = None
 ) -> PropertyCheck:
@@ -332,9 +303,9 @@ def nb_no_overlap(
 def is_fixed_length(spec: PatternSpec) -> bool:
     """All nonempty language words share one length, the shortest w.  The
     automaton is trimmed, so every state a word reaches leads on to an
-    accepted word: that holds iff no word of w + 1 letters reaches one."""
+    accepted word: that holds iff level w + 1 of the key walk is empty."""
     w = spec.aut.shortest_nonempty_length()
-    return w is not None and not next(islice(spec.aut._length_sets(),
+    return w is not None and not next(islice(chars._key_levels(spec),
                                              w + 1, None))
 
 
@@ -362,7 +333,7 @@ def width_max(spec: PatternSpec) -> PropertyCheck:
     )
 
 
-@_check
+@chars._by_span
 def width_sum(
     spec: PatternSpec, d: Domain, cap: Optional[int] = None
 ) -> PropertyCheck:
@@ -385,7 +356,7 @@ def width_sum(
     return PropertyCheck(prop, True, {"overlap": o, "a": spec.a, "b": spec.b})
 
 
-@_check
+@chars._by_span
 def width_occurrence(spec: PatternSpec, d: Domain) -> PropertyCheck:
     """A shortest pattern can occur un-extended within the domain.
 

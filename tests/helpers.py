@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 from functools import reduce
-from itertools import permutations, product
+from itertools import count, permutations, product
 from typing import Iterator, Optional
 
 from sigbounds import bounds as bd
+from sigbounds import compile_regex
 from sigbounds.bounds import Side
 from sigbounds.series import (
     Domain,
@@ -32,6 +33,7 @@ from sigbounds.sigregex import (
     Union,
     bounded_height_automaton,
     check_word,
+    parse,
 )
 
 NEG = float("-inf")
@@ -344,6 +346,29 @@ def raw_universe() -> list[str]:
             out += ["".join(letters[:at]) + f + "".join(letters[at:])
                     for f in nullable for at in range(k + 1)]
     return out
+
+
+def monotone_template(spec: PatternSpec) -> bool:
+    """Whether the range follows the (1, 0) template, by an automaton
+    product: from omega + 1 letters on, L has a word of every length and
+    none holding ``=`` or both strict letters.  The length sets of L and of
+    its product with those words are stepped together to their first
+    repeat, from which they cycle."""
+    non_monotone = compile_regex(
+        parse("(<|=|>)*(=|<(<|=|>)*>|>(<|=|>)*<)(<|=|>)*"))
+    auts = (spec.aut, spec.aut.intersect(non_monotone))
+    sets, seen = tuple(a.initial for a in auts), set()
+    m = spec.aut.shortest_nonempty_length() + 1
+    for k in count():
+        if k >= m:
+            if sets in seen:
+                return True
+            if not sets[0] & auts[0].accepting or sets[1] & auts[1].accepting:
+                return False
+            seen.add(sets)
+        sets = tuple(reduce(lambda x, y: x | y,
+                            (a.step(states, ch) for ch in ALPHABET))
+                     for a, states in zip(auts, sets))
 
 
 def naive_range(spec: PatternSpec, n: int):

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from helpers import (height_oracle, least_support, naive_range, naive_shift,
-                     raw_universe)
+from helpers import (height_oracle, least_support, monotone_template,
+                     naive_range, naive_shift, raw_universe)
 from sigbounds import catalogue as cat
 from sigbounds import characteristics as ch
 from sigbounds import properties as pr
@@ -159,6 +159,23 @@ class TestRange:
             assert ch.range_params(spec) == want, spec.name
             templates.add(want)
         assert templates == {(0, 0), (0, 1), (1, 0), None}
+
+    def test_monotone_template_matches_the_product(self):
+        # the (1, 0) template off the key walk's split against the product
+        # of L with the non-monotone words
+        raw = raw_universe()
+        rng = random.Random(12)
+        exprs = (raw + ["|".join(rng.sample(raw, 2)) for _ in range(600)]
+                 + ["<+", ">+", "<+|>+", "<<*", "(<<)*<", "<<<*|>>",
+                    "(<<|>>)+"])
+        specs = ([e.spec for e in cat.all_entries()]
+                 + [PatternSpec(e, e) for e in exprs])
+        found = 0
+        for spec in specs:
+            want = monotone_template(spec)
+            assert (ch.range_params(spec) == (1, 0)) == want, spec.name
+            found += want
+        assert found == 18
 
     def test_affine_template(self):
         assert ch.range_params(PEAK) == (0, 0)

@@ -217,10 +217,10 @@ def test_one_function_reads_the_walk_row_table():
 
 
 def test_height_questions_walk_keys_not_products():
-    # height and range read the (state, run counter) keys, so no function
-    # builds the product of a language with a height-bounded automaton,
-    # and one function steps the counter: a second stepper would have to
-    # keep the run rule of word_height in step with the first
+    # height, range and its templates read the (state, run counter) keys,
+    # so no function builds an automaton product, and one function steps
+    # the counter: a second stepper would have to keep the run rule of
+    # word_height in step with the first
     package = Path(sigbounds.__file__).parent
     found = set()
     for path in sorted(package.glob("*.py")):
@@ -231,5 +231,18 @@ def test_height_questions_walk_keys_not_products():
     readers = {name: {at for read, at in found if read == name}
                for name in ("intersect", "bounded_height_automaton",
                             "_counter_step")}
-    assert not readers["intersect"] & readers["bounded_height_automaton"]
+    assert not readers["intersect"]
     assert readers["_counter_step"] == {("characteristics", "_key_levels")}
+
+
+def test_only_the_automaton_reads_its_length_walk():
+    # length questions outside sigregex go through its public answers or
+    # the key walk, so the length walk's successor table stays private
+    package = Path(sigbounds.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        reads = _Reads({"_length_sets"})
+        reads.visit(ast.parse(path.read_text("utf-8")))
+        if reads.found:
+            found.add(path.stem)
+    assert found == {"sigregex"}

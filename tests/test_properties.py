@@ -307,7 +307,8 @@ class TestPropertyCheck:
                            (Domain(5, 6),), (Domain(0, 1), cap),
                            (Domain(3, 4), cap)])
                   for check in (pr.nb_overlap, pr.nb_no_overlap,
-                                pr.width_sum)]]:
+                                pr.width_sum, ch.overlap,
+                                ch.smallest_variation)]]:
             answers = [check(spec, *args) for args in asks]
             assert all(a is answers[0] for a in answers), check.__name__
             assert sum(key[0].__name__ == check.__name__
