@@ -17,11 +17,15 @@ settled only if enlarging the cap does not change it.  One walk to cap + 2
 letters answers the probes at cap, cap + 1 and cap + 2.  The overlap never
 lists a word: it walks classes of words, the automaton states a word
 reaches or accepts from with the height levels it can end or start on,
-and decides each seam length on pairs of classes.  Both read the domain
-only through its span, so each walk is made once per (pattern, span, cap)
-and kept, like the plain language measures, in the pattern's memo, freed
-with the pattern.  One rule, :func:`_by_span`, keys overlap, variation and
-the property checks there by span and resolved cap.
+and decides each seam length on pairs of classes.  The variation sorts
+pairs into sign classes: a ``>`` in the leading word or a ``<`` in the
+trailing one pins that word's shift to 0, so a pair holding both varies
+by 0, and a pattern whose words all hold ``>``, or all hold ``<``, varies
+in one sign only and settles at the first pair varying by 0.  Both read
+the domain only through its span, so each walk is made once per (pattern,
+span, cap) and kept, like the plain language measures, in the pattern's
+memo, freed with the pattern.  One rule, :func:`_by_span`, keys overlap,
+variation and the property checks there by span and resolved cap.
 """
 
 from __future__ import annotations
@@ -594,6 +598,21 @@ def _accepts_without(aut: sigregex.Automaton, letter: str,
     return False
 
 
+def _zero_cap(spec: PatternSpec, span: int, cap: int, has_gt: list[str],
+              has_lt: list[str]) -> int:
+    """The least of cap, cap + 1 and cap + 2 fitting a pair with ``>`` in
+    v and ``<`` in w that glues, or cap + 3 when none does.  A pair is
+    glued only when it would fit a lesser cap than the least found."""
+    least = cap + 3
+    for v, w in product(has_gt, has_lt):
+        need = max(cap, len(v), len(w))
+        if need < least and _glue(spec, v, w, span):
+            least = need
+            if least == cap:
+                break
+    return least
+
+
 @_memoized
 def _variations(spec: PatternSpec, span: int,
                 cap: int) -> tuple[Optional[int], ...]:
@@ -606,34 +625,40 @@ def _variations(spec: PatternSpec, span: int,
     word without ``<`` can close a negative one: a strict letter inside the
     leading (resp. trailing) occurrence pins a supporting series whose
     global maximum already sits inside that occurrence, forcing its shift
-    to zero.  Pairs where both strict letters are present therefore vary by
-    exactly 0, and it suffices to find one such pair that overlaps at all.
-    So no word is listed when nothing overlaps, or when no word up to
-    cap + 2 letters lacks ``>`` and none lacks ``<``: then no pair is
-    tried and every cap reads 0.
+    to zero.  So the pairs fall in sign classes.  A pair with ``>`` in v
+    and ``<`` in w varies by exactly 0: of those, only the least cap where
+    one glues counts (:func:`_zero_cap`).  No word is listed when
+    nothing overlaps, or when no word up to cap + 2 letters lacks ``>`` and
+    none lacks ``<``: every cap reads 0.  With only one of the two kinds of
+    word the pattern is one-sided: its variations never differ in sign, so
+    a zero pair, or a pair varying by 0, within the cap settles every cap
+    at 0, and nothing more is scanned.
     """
     top = cap + 2
-    if (_max_overlaps(spec, span, top)[top] == 0
-            or not any(_accepts_without(spec.aut, x, top) for x in (GT, LT))):
+    free = [x for x in (GT, LT) if _accepts_without(spec.aut, x, top)]
+    if _max_overlaps(spec, span, top)[top] == 0 or not free:
         return (0, 0, 0)
     words = [u for u in spec.aut.words_up_to(top) if u]
-    no_gt = [u for u in words if GT not in u]
     has_gt = [u for u in words if GT in u]
+    has_lt = [u for u in words if LT in u]
+    one_sided = len(free) == 1
+    zero = _zero_cap(spec, span, cap, has_gt, has_lt)
+    if one_sided and zero <= cap:
+        return (0, 0, 0)
+    no_gt = [u for u in words if GT not in u]
     no_lt = [u for u in words if LT not in u]
     tagged: list[tuple[int, int]] = []
     for v, w in chain(product(no_gt, words), product(has_gt, no_lt)):
-        zs = _glue(spec, v, w, span)
-        if zs:
-            tagged.append((max(len(v), len(w)),
-                           _pair_variation(spec, v, w, zs)))
+        if zs := _glue(spec, v, w, span):
+            need = max(len(v), len(w))
+            x = _pair_variation(spec, v, w, zs)
+            if one_sided and need <= cap and x == 0:
+                return (0, 0, 0)
+            tagged.append((need, x))
     out = []
     for c in range(cap, top + 1):
         best = _least_variation([x for need, x in tagged if need <= c])
-        if best and any(_glue(spec, v, w, span)
-                        for v, w in product(has_gt, words)
-                        if LT in w and len(v) <= c and len(w) <= c):
-            best = 0
-        out.append(best)
+        out.append(0 if best and zero <= c else best)
     return tuple(out)
 
 

@@ -353,6 +353,8 @@ def cmd_verify(names: tuple[str, ...], run_all: bool,
             specs = [_resolve(name) for name in names]
         else:
             raise ValueError("give pattern names or --all")
+        for spec in specs:
+            chars_mod.width(spec)  # refuses a language with no nonempty word
         doms = tuple(Domain.parse(tok) for tok in domains.split(","))
         if max_n < 2:
             raise ValueError("--max-n must be at least 2")

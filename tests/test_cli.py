@@ -127,6 +127,22 @@ class TestChars:
             "overlap   : 1\n"
             "variation : 0\n")
 
+    def test_one_sided_pattern_at_a_deep_cap(self):
+        # every word holds ``>``, so a pair varying by 0 settles it
+        p = run("chars", "(<|=)*>(<|=)*", "--hi", "2", "--cap", "7")
+        assert p.returncode == 0
+        assert p.stdout == (
+            "pattern   : (<|=)*>(<|=)*\n"
+            "expr      : (<|=)*>(<|=)*  (a=0, b=0)\n"
+            "domain    : [0,2]  n=2  cap=7\n"
+            "width     : 1\n"
+            "height    : 1\n"
+            "range     : 1\n"
+            "range fit : e=0 c=0\n"
+            "inducing  : >\n"
+            "overlap   : unbounded(cap=9)\n"
+            "variation : 0\n")
+
 
 class TestBound:
     def test_human_output(self):
@@ -225,6 +241,18 @@ class TestVerify:
         p = run("verify", "<*>>|<")
         assert p.returncode == 0
         assert "failed 0" in p.stdout
+
+    def test_language_without_nonempty_word_is_bad_input(self):
+        for expr in ("1", "0", "()", "0|1"):
+            p = run("verify", expr, "--max-n", "3")
+            assert p.returncode == 2, expr
+            assert p.stderr == \
+                f"error: {expr}: no nonempty word in the language\n"
+            assert "Traceback" not in p.stderr
+        # one empty branch is a skip reason, not bad input
+        p = run("verify", "<|1", "--max-n", "3")
+        assert p.returncode == 0
+        assert "branch 1 of <|1 has no nonempty word" in p.stdout
 
     def test_requires_names_or_all(self):
         p = run("verify")

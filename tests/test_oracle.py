@@ -421,6 +421,43 @@ class TestRawCharacteristics:
         assert all(sr.LT in u and sr.GT in u
                    for u in peak.aut.words_up_to(8) if u)
 
+    def test_zero_cap_is_the_least_cap_of_a_gluing_zero_pair(self):
+        # at span 1 and cap 2 the first pair of the last language to glue,
+        # (``>``, ``<=>``), fits cap + 1, and a later one, (``><``, ``><``),
+        # fits the cap
+        expr = "(((>)?|(<<)?)|((><|<=>)|=>>))"
+        cases = [(e.spec, max(0, ch.width(e.spec) - 2))
+                 for e in cat.all_entries()]
+        cases += [(PatternSpec(expr, expr), cap) for cap in range(4)]
+        for spec, cap in cases:
+            words = [u for u in spec.aut.words_up_to(cap + 2) if u]
+            has_gt = [u for u in words if sr.GT in u]
+            has_lt = [u for u in words if sr.LT in u]
+            for span in (1, 2, 3):
+                want = min((max(cap, len(v), len(w))
+                            for v, w in itertools.product(has_gt, has_lt)
+                            if ch._glue(spec, v, w, span)), default=cap + 3)
+                assert ch._zero_cap(spec, span, cap, has_gt, has_lt) == want, \
+                    (spec.name, span, cap)
+
+    def test_one_sided_variation_scans_no_superposition(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a superposition was scanned")
+
+        # every word holds ``>``, so no pair varies upward, and ``>`` glued
+        # to ``<>`` is a pair varying by exactly 0 within every cap here
+        expr = "(<|=)*>(<|=)*"
+        monkeypatch.setattr(ch, "_shifts", refused)
+        for span in (1, 2, 3):
+            spec = PatternSpec(expr, expr)
+            for cap in (ch.default_cap(spec), 7):
+                assert ch._variations(spec, span, cap) == (0, 0, 0)
+        monkeypatch.undo()
+        # one-sided with no zero pair: every word holds ``<``, none ``>``
+        terrace = cat.lookup("increasing_terrace").spec
+        spec = PatternSpec(terrace.name, terrace.expr, terrace.a, terrace.b)
+        assert ch._variations(spec, 3, ch.default_cap(spec)) == (1, 1, 1)
+
     def test_budget_applies_to_gluing_search(self):
         with pytest.raises(orc.BudgetExceededError):
             orc.brute_overlap(PEAK, Domain(0, 1), budget=5)
