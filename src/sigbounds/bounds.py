@@ -7,7 +7,8 @@ is the one table of them: ``bound`` dispatches through it, and the oracle
 and the CLI derive their lists of supported combinations from it.  Every
 result records which structural properties backed it; sharp is claimed
 only when they all hold, and the exhaustive oracle can then find a series
-attaining the value.
+attaining the value.  The rules read the overlap and variation at the
+default search cap, the ones the oracle certifies.
 """
 
 from __future__ import annotations
@@ -126,15 +127,15 @@ def _range_saturated(spec: PatternSpec, n: int, d: Domain) -> bool:
     return rng.is_defined and d.span >= rng.expect()
 
 
-def _settled_overlap(spec: PatternSpec, d: Domain, cap: Optional[int]) -> int:
-    cv = chars.overlap(spec, d, cap)
+def _settled_overlap(spec: PatternSpec, d: Domain) -> int:
+    cv = chars.overlap(spec, d)
     if not cv.is_defined:
         raise NotApplicableError(f"overlap not settled: {cv}")
     return cv.expect()
 
 
-def _settled_variation(spec: PatternSpec, d: Domain, cap: Optional[int]) -> int:
-    cv = chars.smallest_variation(spec, d, cap)
+def _settled_variation(spec: PatternSpec, d: Domain) -> int:
+    cv = chars.smallest_variation(spec, d)
     if cv.kind is chars.CharKind.UNDEFINED:
         raise VariationUndefinedError(
             "smallest variation is undefined (both signs occur)"
@@ -147,9 +148,7 @@ def _settled_variation(spec: PatternSpec, d: Domain, cap: Optional[int]) -> int:
 # --------------------------------------------------------------------------
 # Occurrence-count bounds
 
-def nb_lower(
-    spec: PatternSpec, n: int, d: Domain, cap: Optional[int] = None
-) -> BoundResult:
+def nb_lower(spec: PatternSpec, n: int, d: Domain) -> BoundResult:
     """Sharp lower bound on the number of maximal occurrences."""
     _require_length(n)
     try:
@@ -173,28 +172,24 @@ def nb_lower(
     )
 
 
-def interval_cap(
-    spec: PatternSpec, d: Domain, cap: Optional[int] = None
-) -> ExtendedInt:
+def interval_cap(spec: PatternSpec, d: Domain) -> ExtendedInt:
     """Longest stretch of variables packable with occurrences, no restart.
 
     Infinite when glued occurrences keep the same maximum; otherwise each
     pack of patterns climbs or falls by the variation until the domain is
     exhausted.
     """
-    delta = _settled_variation(spec, d, cap)
+    delta = _settled_variation(spec, d)
     if delta == 0:
         return PLUS_INF
-    o = _settled_overlap(spec, d, cap)
+    o = _settled_overlap(spec, d)
     w = chars.width(spec)
     eta = chars.height(spec)
     ad = abs(delta)
     return ((d.span - eta + ad) // ad) * (w + 1 - o) + o
 
 
-def nb_upper(
-    spec: PatternSpec, n: int, d: Domain, cap: Optional[int] = None
-) -> BoundResult:
+def nb_upper(spec: PatternSpec, n: int, d: Domain) -> BoundResult:
     """Sharp upper bound on the number of maximal occurrences."""
     _require_length(n)
     if res := _infeasible(spec, n, d, 0, Side.UPPER):
@@ -202,20 +197,20 @@ def nb_upper(
     if d.span == 0:
         return _unique_series(spec, n, d, Aggregator.SUM, Feature.ONE,
                               Side.UPPER, "unique-series-count")
-    o = _settled_overlap(spec, d, cap)
+    o = _settled_overlap(spec, d)
     w = chars.width(spec)
     if o > w:
         raise OverlapExceedsWidthError(
             f"overlap {o} exceeds width {w}; packing formulas do not apply"
         )
-    _settled_variation(spec, d, cap)
+    _settled_variation(spec, d)
     if o > 0:
-        prop = properties.nb_overlap(spec, d, cap)
+        prop = properties.nb_overlap(spec, d)
     else:
-        prop = properties.nb_no_overlap(spec, d, cap)
+        prop = properties.nb_no_overlap(spec, d)
     per = w + 1 - o
     if prop.holds:
-        m = min(n, max(1, interval_cap(spec, d, cap)))
+        m = min(n, max(1, interval_cap(spec, d)))
         a_part = max(0, m - o) // per
         b_part = n // m
         c_part = max(0, (n % m) - o) // per
@@ -234,9 +229,7 @@ def nb_upper(
 # --------------------------------------------------------------------------
 # Width bounds
 
-def max_width_upper(
-    spec: PatternSpec, n: int, d: Domain, cap: Optional[int] = None
-) -> BoundResult:
+def max_width_upper(spec: PatternSpec, n: int, d: Domain) -> BoundResult:
     """Sharp upper bound on the widest maximal occurrence."""
     _require_length(n)
     if res := _infeasible(spec, n, d, 0, Side.UPPER):
@@ -256,15 +249,13 @@ def max_width_upper(
     )
 
 
-def sum_width_upper(
-    spec: PatternSpec, n: int, d: Domain, cap: Optional[int] = None
-) -> BoundResult:
+def sum_width_upper(spec: PatternSpec, n: int, d: Domain) -> BoundResult:
     """Sharp upper bound on the summed widths of maximal occurrences."""
     _require_length(n)
     if res := _infeasible(spec, n, d, 0, Side.UPPER):
         return res
     wm = properties.width_max(spec)
-    ws = properties.width_sum(spec, d, cap)
+    ws = properties.width_sum(spec, d)
     missing = [p.prop for p in (wm, ws) if not p.holds]
     if missing:
         detail = "; ".join(
@@ -277,7 +268,7 @@ def sum_width_upper(
     else:
         eta = chars.height(spec)
         rho = min(1, max(0, eta + 1 - d.span)) * (n % 2)
-        tau = nb_upper(spec, n, d, cap).value
+        tau = nb_upper(spec, n, d).value
         value = (e * (n - rho)
                  + c * (chars.width(spec) + 1 - spec.a - spec.b) * tau)
     return BoundResult(
@@ -287,9 +278,7 @@ def sum_width_upper(
     )
 
 
-def min_width_lower(
-    spec: PatternSpec, n: int, d: Domain, cap: Optional[int] = None
-) -> BoundResult:
+def min_width_lower(spec: PatternSpec, n: int, d: Domain) -> BoundResult:
     """Sharp lower bound on the narrowest maximal occurrence."""
     _require_length(n)
     if res := _infeasible(spec, n, d, PLUS_INF, Side.LOWER):
@@ -331,7 +320,6 @@ def bound(
     spec: PatternSpec,
     n: int,
     d: Domain,
-    cap: Optional[int] = None,
 ) -> BoundResult:
     """Route a (aggregator, feature, side) request to its bound rule."""
     rule = RULES.get((g, f, side))
@@ -339,4 +327,4 @@ def bound(
         raise NotSupportedError(
             f"no closed-form {side.value} bound for {g.value} of {f.value}"
         )
-    return rule(spec, n, d, cap)
+    return rule(spec, n, d)

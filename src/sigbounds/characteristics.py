@@ -24,8 +24,9 @@ by 0, and a pattern whose words all hold ``>``, or all hold ``<``, varies
 in one sign only and settles at the first pair varying by 0.  Both read
 the domain only through its span, so each walk is made once per (pattern,
 span, cap) and kept, like the plain language measures, in the pattern's
-memo, freed with the pattern.  One rule, :func:`_by_span`, keys overlap,
-variation and the property checks there by span and resolved cap.
+memo, freed with the pattern.  One rule, :func:`_by_span`, keys overlap
+and variation there by span and resolved cap, and the property checks,
+which read the default cap, by span alone.
 """
 
 from __future__ import annotations
@@ -613,7 +614,6 @@ def _zero_cap(spec: PatternSpec, span: int, cap: int, has_gt: list[str],
     return least
 
 
-@_memoized
 def _variations(spec: PatternSpec, span: int,
                 cap: int) -> tuple[Optional[int], ...]:
     """Smallest-magnitude variation over overlapping pairs at the caps

@@ -224,10 +224,9 @@ def cmd_chars(pattern: str, lo: int, hi: int, n: Optional[int],
 @click.option("--n", type=int, required=True, help="series length")
 @click.option("--lo", type=int, default=0, show_default=True)
 @click.option("--hi", type=int, default=1, show_default=True)
-@click.option("--cap", type=int, default=None)
 @_format_option
 def cmd_bound(gf: str, pattern: str, side: str, n: int, lo: int, hi: int,
-              cap: Optional[int], fmt: str) -> None:
+              fmt: str) -> None:
     """Closed-form bound for the GF result variable of PATTERN.
 
     GF is nb, max_width, sum_width, min_width or <agg>_<feature>.
@@ -239,7 +238,7 @@ def cmd_bound(gf: str, pattern: str, side: str, n: int, lo: int, hi: int,
     except _INPUT_ERRORS as exc:
         _fail(2, str(exc))
     try:
-        res = bounds_mod.bound(g, f, Side(side), spec, n, d, cap)
+        res = bounds_mod.bound(g, f, Side(side), spec, n, d)
     except BoundError as exc:
         _fail(3, str(exc))
     except _INPUT_ERRORS as exc:

@@ -3,9 +3,10 @@
 Everything here recomputes results by enumeration: extrema of constraint
 results over every series of a given shape, and overlap and variation
 recomputed pair by pair from ``characteristics``' definitions, without
-state classes or pruning.  The bounded searches in the main modules must
-agree with these; the sharpness report certifies the bound formulas against
-them.
+state classes or sign classes.  The overlap skips only a pair too short to
+beat the best so far, which saves budget and changes no value.  The
+bounded searches in the main modules must agree with these; the sharpness
+report certifies the bound formulas against them.
 
 :func:`brute_extrema` walks every series.  The features of ``bounds.RULES``
 depend only on the lengths of the maximal occurrences, so the sweep reads

@@ -6,9 +6,10 @@ failure.  The properties gate the closed-form bounds: a bound is flagged
 sharp only when the property justifying it holds.
 
 A check reads neither n nor more of the domain than its span, so each is
-kept in the pattern's memo by its span and resolved cap, and every bound
-rule after the first reads the answer back.  The witness is read-only, so
-no caller can change what the next one reads.
+kept in the pattern's memo by its span, and every bound rule after the
+first reads the answer back.  The overlap and variation a check reads are
+the default-cap ones, which the oracle certifies.  The witness is
+read-only, so no caller can change what the next one reads.
 """
 
 from __future__ import annotations
@@ -159,21 +160,19 @@ def nb_simple(spec: PatternSpec, d: Domain) -> PropertyCheck:
     return _fail("nb-simple", "mixed-inducing-letters")
 
 
-_NB_OVERLAP_RANK = {
-    "no-minimal-word": 1,
-    "strict-letter-guard": 2,
-    "superposition-exists": 3,
-    "overlap-equals-max": 4,
-    "superposition-not-factor": 5,
-    "superposition-height": 6,
-    "variation-equation": 7,
-}
+_NB_OVERLAP_CONDITIONS = (
+    "no-minimal-word",
+    "strict-letter-guard",
+    "superposition-exists",
+    "overlap-equals-max",
+    "superposition-not-factor",
+    "superposition-height",
+    "variation-equation",
+)
 
 
 @chars._by_span
-def nb_overlap(
-    spec: PatternSpec, d: Domain, cap: Optional[int] = None
-) -> PropertyCheck:
+def nb_overlap(spec: PatternSpec, d: Domain) -> PropertyCheck:
     """Patterns can be packed by gluing, and the gluing is well behaved.
 
     Requires a pair of shortest minimal-height words whose superpositions
@@ -183,7 +182,7 @@ def nb_overlap(
     extendable upward (downward).
     """
     prop = "nb-overlap"
-    o_cv = chars.overlap(spec, d, cap)
+    o_cv = chars.overlap(spec, d)
     if not o_cv.is_defined:
         return _fail(prop, "overlap-unsettled")
     o = o_cv.expect()
@@ -191,18 +190,17 @@ def nb_overlap(
         return _fail(prop, "no-superposition")
     if o > chars.width(spec):
         return _fail(prop, "overlap-exceeds-width")
-    d_cv = chars.smallest_variation(spec, d, cap)
+    d_cv = chars.smallest_variation(spec, d)
     if not d_cv.is_defined:
         return _fail(prop, "variation-unsettled")
     delta = d_cv.expect()
     eta = chars.height(spec)
     cands = minimal_words(spec)
-    deepest = "no-minimal-word"
+    deepest = 0
 
     def note(cond: str) -> None:
         nonlocal deepest
-        if _NB_OVERLAP_RANK[cond] > _NB_OVERLAP_RANK[deepest]:
-            deepest = cond
+        deepest = max(deepest, _NB_OVERLAP_CONDITIONS.index(cond))
 
     def glued(first: str, second: str, check: bool) -> Optional[str]:
         for z in chars.superpositions(spec, first, second, d):
@@ -232,7 +230,7 @@ def nb_overlap(
                 {"v": v, "w": w, "z1": z1, "z2": z2,
                  "overlap": o, "variation": delta},
             )
-    return _fail(prop, deepest)
+    return _fail(prop, _NB_OVERLAP_CONDITIONS[deepest])
 
 
 @_memoized
@@ -254,9 +252,7 @@ _NO_OVERLAP_LENGTHS = 5
 
 
 @chars._by_span
-def nb_no_overlap(
-    spec: PatternSpec, d: Domain, cap: Optional[int] = None
-) -> PropertyCheck:
+def nb_no_overlap(spec: PatternSpec, d: Domain) -> PropertyCheck:
     """Patterns never share variables, yet still occur at every length.
 
     Needs a zero overlap, a shortest minimal-height word v whose one-letter
@@ -266,7 +262,7 @@ def nb_no_overlap(
     five lengths ``width + 1 .. width + 5``.
     """
     prop = "nb-no-overlap"
-    o_cv = chars.overlap(spec, d, cap)
+    o_cv = chars.overlap(spec, d)
     if not o_cv.is_defined:
         return _fail(prop, "overlap-unsettled")
     if o_cv.expect() != 0:
@@ -334,16 +330,14 @@ def width_max(spec: PatternSpec) -> PropertyCheck:
 
 
 @chars._by_span
-def width_sum(
-    spec: PatternSpec, d: Domain, cap: Optional[int] = None
-) -> PropertyCheck:
+def width_sum(spec: PatternSpec, d: Domain) -> PropertyCheck:
     """Shared variables between packed patterns are all trimmed away.
 
     Overlap must not exceed a + b; a full-range pattern (range n - 1 from
     width + 2 on) must be the plain one-letter strict case.
     """
     prop = "width-sum"
-    o_cv = chars.overlap(spec, d, cap)
+    o_cv = chars.overlap(spec, d)
     if not o_cv.is_defined:
         return _fail(prop, "overlap-unsettled")
     o = o_cv.expect()

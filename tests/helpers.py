@@ -410,9 +410,9 @@ def carries_maximal_per_word(spec: PatternSpec, v: str, n: int,
     return False
 
 
-def off_by_one(g, f, side, spec, n, d, cap=None):
+def off_by_one(g, f, side, spec, n, d):
     """``bounds.bound`` moved one step too tight: every upper bound lowered
     by one and every lower bound raised by one."""
-    r = bd.bound(g, f, side, spec, n, d, cap)
+    r = bd.bound(g, f, side, spec, n, d)
     step = -1 if side is Side.UPPER else 1
     return dataclasses.replace(r, value=r.value + step)

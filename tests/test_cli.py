@@ -183,11 +183,15 @@ class TestBound:
         assert "unknown aggregator/feature token" in p.stderr
 
     def test_negative_cap_exits_two(self):
-        # probes of a negative cap see no word and would claim a sharp 2
-        p = run("bound", "nb", "peak", "--side", "upper", "--n", "7",
-                "--cap", "-1")
-        assert p.returncode == 2
-        assert "cap -1 is below 0" in p.stderr
+        # bounds read the default cap, the one verify certifies: a cap of
+        # -1 or -9 would see no word and claim a sharp bound
+        for gf, side in [("nb", "upper"), ("nb", "lower"),
+                         ("max_width", "upper"), ("sum_width", "upper"),
+                         ("min_width", "lower")]:
+            p = run("bound", gf, "peak", "--side", side, "--n", "7",
+                    "--cap", "-9")
+            assert p.returncode == 2, (gf, side)
+            assert "No such option '--cap'" in p.stderr, (gf, side)
         p = run("bound", "nb", "peak", "--side", "upper", "--n", "7")
         assert p.returncode == 0
         assert "value         : 3" in p.stdout

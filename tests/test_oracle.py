@@ -151,7 +151,7 @@ class TestCellExtrema:
             orc._cell_extrema(PEAK, 4, Domain(0, 1),
                               [(Aggregator.SUM, Feature.SURF)])
 
-        def surf_bound(g, f, side, spec, n, d, cap=None):
+        def surf_bound(g, f, side, spec, n, d):
             return BoundResult(0, side, False, "test")
 
         with pytest.raises(ValueError, match="surf"):
@@ -550,8 +550,8 @@ class TestSweep:
         assert nb_up[0].valid
 
     def test_invalid_bound_is_caught_with_counterexample(self):
-        def too_low(g, f, side, spec, n, d, cap=None):
-            r = bd.bound(g, f, side, spec, n, d, cap)
+        def too_low(g, f, side, spec, n, d):
+            r = bd.bound(g, f, side, spec, n, d)
             if side is Side.UPPER:
                 return BoundResult(r.value - 1, r.side, False, r.source,
                                    r.preconditions, r.m_used)
@@ -595,8 +595,8 @@ class TestSweep:
             assert r.counterexample == want, r.to_json()
 
     def test_unattained_sharp_claim_is_caught(self):
-        def too_high(g, f, side, spec, n, d, cap=None):
-            r = bd.bound(g, f, side, spec, n, d, cap)
+        def too_high(g, f, side, spec, n, d):
+            r = bd.bound(g, f, side, spec, n, d)
             if side is Side.UPPER:
                 return BoundResult(r.value + 1, r.side, r.sharp, r.source,
                                    r.preconditions, r.m_used)

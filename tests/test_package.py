@@ -246,3 +246,21 @@ def test_only_the_automaton_reads_its_length_walk():
         if reads.found:
             found.add(path.stem)
     assert found == {"sigregex"}
+
+
+def test_no_bound_rule_or_property_check_takes_a_cap():
+    # bounds read the default-cap overlap and variation, the ones the
+    # oracle certifies; a cap on one rule or check would let it claim a
+    # sharp bound from a search that nothing certifies
+    package = Path(sigbounds.__file__).parent
+    found = set()
+    for stem in ("bounds", "properties"):
+        tree = ast.parse((package / f"{stem}.py").read_text("utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                names = {a.arg for a in (*args.posonlyargs, *args.args,
+                                         *args.kwonlyargs)}
+                if "cap" in names:
+                    found.add((stem, getattr(node, "name", "<lambda>")))
+    assert not found

@@ -301,20 +301,20 @@ class TestPropertyCheck:
         spec = PatternSpec(PEAK.name, PEAK.expr, PEAK.a, PEAK.b)
         cap = ch.default_cap(spec)
         for check, asks in [
-                (pr.nb_simple, [(Domain(0, 1),), (Domain(5, 6),)]),
-                (pr.width_occurrence, [(Domain(0, 1),), (Domain(5, 6),)]),
+                *[(check, [(Domain(0, 1),), (Domain(5, 6),)])
+                  for check in (pr.nb_simple, pr.nb_overlap,
+                                pr.nb_no_overlap, pr.width_sum,
+                                pr.width_occurrence)],
                 *[(check, [(Domain(0, 1),), (Domain(0, 1), None),
                            (Domain(5, 6),), (Domain(0, 1), cap),
                            (Domain(3, 4), cap)])
-                  for check in (pr.nb_overlap, pr.nb_no_overlap,
-                                pr.width_sum, ch.overlap,
-                                ch.smallest_variation)]]:
+                  for check in (ch.overlap, ch.smallest_variation)]]:
             answers = [check(spec, *args) for args in asks]
             assert all(a is answers[0] for a in answers), check.__name__
             assert sum(key[0].__name__ == check.__name__
                        for key in spec._memo) == 1, check.__name__
         # a different span or cap is a different question
-        pr.nb_overlap(spec, Domain(0, 2))
-        pr.nb_overlap(spec, Domain(0, 1), cap + 1)
-        assert sum(key[0].__name__ == "nb_overlap"
+        ch.overlap(spec, Domain(0, 2))
+        ch.overlap(spec, Domain(0, 1), cap + 1)
+        assert sum(key[0].__name__ == "overlap"
                    for key in spec._memo) == 3
