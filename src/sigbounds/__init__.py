@@ -13,7 +13,6 @@ from .sigregex import (
     NotDisjunctionCapsuledError,
     ParseError,
     RegexError,
-    bounded_height_automaton,
     check_word,
     parse,
     render,

@@ -16,8 +16,9 @@ computed under a length cap with a stability probe: a value is reported as
 settled only if enlarging the cap does not change it.  One walk to cap + 2
 letters answers the probes at cap, cap + 1 and cap + 2.  The overlap never
 lists a word: it walks classes of words, the automaton states a word
-reaches or accepts from with the height levels it can end or start on,
-and decides each seam length on pairs of classes.  The variation sorts
+reaches or accepts from with the run counter that names the height
+levels it can end or start on, and decides each seam length on pairs of
+classes.  The variation sorts
 pairs into sign classes: a ``>`` in the leading word or a ``<`` in the
 trailing one pins that word's shift to 0, so a pair holding both varies
 by 0, and a pattern whose words all hold ``>``, or all hold ``<``, varies
@@ -39,9 +40,9 @@ from itertools import chain, count, islice, product
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import sigregex
-from .series import (Domain, PatternSpec, _maximal_spans, _memoized,
-                     word_height)
-from .sigregex import ALPHABET, GT, LT, bounded_height_automaton, check_word
+from .series import (Domain, PatternSpec, _climb, _height_levels,
+                     _maximal_spans, _memoized, word_height)
+from .sigregex import ALPHABET, GT, LT, check_word
 
 
 class CharacteristicsError(Exception):
@@ -148,9 +149,9 @@ def _counter_step(aut: sigregex.Automaton, level: tuple) -> tuple:
     :func:`word_height`, each (state, c) under its least height."""
     reached: dict[tuple[int, int], int] = {}
     for low, c, states in level:
-        for letter, d in ((LT, c + 1 if c > 0 else 1), (sigregex.EQ, c),
-                          (GT, c - 1 if c < 0 else -1)):
+        for letter in ALPHABET:
             if ends := aut.step(states, letter):
+                d = _climb(c, letter)
                 key = (max(low, d, -d), d)
                 reached[key] = reached.get(key, 0) | ends
     seen, out = {}, []
@@ -382,27 +383,27 @@ def overlap_of_words(spec: PatternSpec, v: str, w: str, d: Domain) -> int:
     return len(v) + len(w) - shortest + 1
 
 
-def _classes(aut: sigregex.Automaton, heights: sigregex.Automaton, top: int
+def _classes(aut: sigregex.Automaton, span: int, top: int
              ) -> tuple[list[tuple[int, int, int]], list[dict]]:
-    """The classes of the words of at most top letters read from
-    aut.initial: the states a word reaches, the levels of heights it can
-    end on and the fewest letters of a word in it.  Breadth first, from the
-    empty word at index 0; a word reaching no state or no level is dropped.
-    Also the moves of each class of fewer than top letters, letter to
-    class index."""
+    """The classes of the words of at most top letters and height at most
+    span read from aut.initial: the states a word reaches, its run counter
+    c of :func:`word_height` and the fewest letters of a word in it.
+    Breadth first, from the empty word at index 0; a word reaching no
+    state or exceeding the span is dropped.  Also the moves of each class
+    of fewer than top letters, letter to class index."""
     # a set holding no state with an arc on a letter is not stepped on it
     sources = {letter: sum({1 << q for q, _ in pairs})
                for letter, pairs in aut.arcs.items()}
-    classes, moves = [(aut.initial, heights.initial, 0)], []
+    classes, moves = [(aut.initial, 0, 0)], []
     index = {classes[0][:2]: 0}
-    for states, levels, size in classes:
+    for states, c, size in classes:
         if size == top:
             break
         moves.append({})
         for letter in ALPHABET:
-            ends = states & sources[letter] and heights.step(levels, letter)
-            if ends:
-                key = (aut.step(states, letter), ends)
+            if (states & sources[letter]
+                    and -span <= (d := _climb(c, letter)) <= span):
+                key = (aut.step(states, letter), d)
                 if key not in index:
                     index[key] = len(classes)
                     classes.append(key + (size + 1,))
@@ -417,19 +418,22 @@ def _max_overlaps(spec: PatternSpec, span: int, top: int) -> tuple[int, ...]:
 
     Overlap k + 1 needs words v = u + x and w = x + r with a seam x of k
     letters such that v + r leaves the language and stays supportable.
-    u counts by its class (:func:`_classes`) on H_span, the words of height
-    at most the span; r by the class of its reversal on ``aut.reversal()``
-    and H_span reversed: the states r accepts from and the levels it can
-    start on.  v + r leaves the language iff the states v reaches miss
-    those, and stays within the span iff some level v ends on starts r.
-    Seams are walked by length as pairs of classes, of u + x and of x, one
-    per distinct pair with the fewest letters of u.  A pair fitting a rest
-    counts from the cap fitting both words.
+    u counts by its class (:func:`_classes`) among the words of height at
+    most the span, with the levels it can end on read off its run counter
+    (:func:`_height_levels`); r by the class of its reversal on
+    ``aut.reversal()``: the states r accepts from, and the levels it can
+    start on, read off the mirrored counter -c, as ``<`` and ``>`` swap
+    roles backwards.  v + r leaves the language iff the states v reaches
+    miss those, and stays within the span iff some level v ends on starts
+    r.  Seams are walked by length as pairs of classes, of u + x and of
+    x, one per distinct pair with the fewest letters of u.  A pair fitting
+    a rest counts from the cap fitting both words.
     """
-    aut, heights = spec.aut, bounded_height_automaton(span)
+    aut = spec.aut
     best = [0] * (top + 1)
-    rests = _classes(aut.reversal(), heights.reversal(), top)[0]
-    lefts, moves = _classes(aut, heights, top)
+    rests = [(co, _height_levels(-c, span), n)
+             for co, c, n in _classes(aut.reversal(), span, top)[0]]
+    lefts, moves = _classes(aut, span, top)
     fitting: dict[int, list[tuple[int, int]]] = {}
     pairs = {(left, 0): size for left, (_, _, size) in enumerate(lefts)}
     depth = 0
@@ -442,7 +446,8 @@ def _max_overlaps(spec: PatternSpec, span: int, top: int) -> tuple[int, ...]:
             if size + depth < need:
                 if left not in fitting:
                     # the rests that glue to v = u + x, shortest first
-                    after, ends, _ = lefts[left]
+                    after, c, _ = lefts[left]
+                    ends = _height_levels(c, span)
                     fitting[left] = [
                         (co, n) for co, starts, n in rests
                         if not co & after and ends & starts

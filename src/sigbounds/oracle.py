@@ -46,6 +46,7 @@ from .series import (
     PLUS_INF,
     PatternSpec,
     TimeSeries,
+    _height_levels,
     _maximal_spans,
     _scan_stepper,
     _signature_levels,
@@ -342,7 +343,9 @@ def _counterexamples(spec: PatternSpec, n: int, d: Domain,
     the merged levels of ``series._signature_levels``: each value is the
     least x at which some key of the letters still to come can start (its
     height bit ``d.hi - x``) and from which the letter into x, then those
-    chosen before, lead to a last key of that value.  Nothing is undone."""
+    chosen before, lead to a last key of that value.  Each distinct
+    sorted tuple of occurrence lengths there is valued once.  Nothing is
+    undone."""
     wanted = set(wanted)
     if not wanted or n == 1:
         # nothing to find, or one value and no letters: the chain is empty
@@ -354,15 +357,23 @@ def _counterexamples(spec: PatternSpec, n: int, d: Domain,
     # reach a key of that value, by that letter, and where those can start
     into = {want: {ch: [] for ch in ALPHABET} for want in wanted}
     starts = dict.fromkeys(wanted, 0)
+    # the wanted values met by each sorted tuple of occurrence lengths
+    meets: dict[tuple, list] = {}
     for key, word in levels[-1].items():
         for ch in ALPHABET:
             last = step(key, m, ch)
-            if last is not None:
-                feats = _chain_values(spec, word + ch, [k for _, k in last[2]])
-                for want in wanted:
-                    if aggregate(want[0], feats[want[1]]) == want[2]:
-                        into[want][ch].append(key)
-                        starts[want] |= last[0]
+            if last is None:
+                continue
+            lengths = tuple(sorted(k for _, k in last[2]))
+            met = meets.get(lengths)
+            if met is None:
+                feats = _chain_values(spec, word + ch, lengths)
+                met = meets[lengths] = [
+                    want for want in wanted
+                    if aggregate(want[0], feats[want[1]]) == want[2]]
+            for want in met:
+                into[want][ch].append(key)
+                starts[want] |= _height_levels(last[0], d.span)
     found: dict[tuple, TimeSeries] = {}
     for want, by_letter in into.items():
         vals = [next(x for x in range(d.lo, d.hi + 1)
@@ -373,7 +384,8 @@ def _counterexamples(spec: PatternSpec, n: int, d: Domain,
                 if letter not in by_letter:  # into[want] has every letter
                     by_letter[letter] = [key for key in levels[k] if step(
                         key, k + 1, letter) in landing]
-                if any(key[0] >> d.hi - x & 1 for key in by_letter[letter]):
+                if any(_height_levels(key[0], d.span) >> d.hi - x & 1
+                       for key in by_letter[letter]):
                     break
             vals.append(x)
             # the keys of the last k letters that led there

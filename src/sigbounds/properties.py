@@ -21,8 +21,8 @@ from typing import Mapping, Optional
 
 from . import characteristics as chars
 from . import sigregex
-from .series import (Domain, PatternSpec, _memoized, _signature_levels,
-                     word_height)
+from .series import (Domain, PatternSpec, _climb, _memoized,
+                     _signature_levels, word_height)
 from .sigregex import ALPHABET, EQ, GT, LT
 
 
@@ -106,17 +106,17 @@ def _avoids(aut: sigregex.Automaton, word: str) -> bool:
 def _factor_free(spec: PatternSpec, span: int) -> sigregex.Automaton:
     """The words of height at most ``span`` with no nonempty factor in the
     language, as a deterministic automaton.  A state pairs the runs of
-    :func:`_avoids` with the height levels still possible; a letter that
-    lets a run accept, or leaves no level, has no arc."""
-    aut, heights = spec.aut, sigregex.bounded_height_automaton(span)
-    keys = [(0, heights.initial)]
+    :func:`_avoids` with the run counter c of :func:`word_height`; a
+    letter that lets a run accept, or takes |c| past the span, has no
+    arc."""
+    aut = spec.aut
+    keys = [(0, 0)]
     index = {keys[0]: 0}
     arcs: dict[str, list[tuple[int, int]]] = {ch: [] for ch in ALPHABET}
-    for at, (runs, levels) in enumerate(keys):
+    for at, (runs, c) in enumerate(keys):
         for ch in ALPHABET:
-            key = (aut.step(runs | aut.initial, ch),
-                   heights.step(levels, ch))
-            if key[1] and not key[0] & aut.accepting:
+            key = (aut.step(runs | aut.initial, ch), _climb(c, ch))
+            if -span <= key[1] <= span and not key[0] & aut.accepting:
                 if key not in index:
                     index[key] = len(keys)
                     keys.append(key)

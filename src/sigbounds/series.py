@@ -229,6 +229,28 @@ def word_height(word: str) -> int:
     return best
 
 
+def _climb(c: int, letter: str) -> int:
+    """The run counter of :func:`word_height` one letter on, for the key
+    walks that carry it."""
+    if letter == LT:
+        return c + 1 if c > 0 else 1
+    if letter == GT:
+        return c - 1 if c < 0 else -1
+    return c
+
+
+def _height_levels(c: int, span: int) -> int:
+    """The levels 0 .. span, as a bitmask, that a word of height at most
+    ``span`` and run counter c can end on when ``<`` climbs a level and
+    ``>`` descends one, read from any level: c..span for c > 0,
+    0..span + c for c < 0, and every level for c = 0.  A word read
+    backwards, on mirrored letters, gives the levels it can start on."""
+    every = (1 << span + 1) - 1
+    if c > 0:
+        return every ^ ((1 << c) - 1)
+    return every >> -c
+
+
 # The most row types one automaton tables for the scan: a language whose
 # rows keep changing (a union of cycles of coprime lengths) would otherwise
 # grow the table with the word.  The catalogue needs at most 30.
@@ -397,51 +419,67 @@ def maximal_occurrences(spec: PatternSpec, s: str) -> list[Occurrence]:
 
 
 @_memoized
-def _row_moves(spec: PatternSpec) -> dict:
-    """:func:`_scan_stepper`'s row steps by (row, letter), for every walk."""
-    return {}
+def _row_moves(spec: PatternSpec) -> tuple[list, dict, dict]:
+    """:func:`_scan_stepper`'s rows by id, the id of each row, and its
+    row steps by (row id, letter), for every walk; row 0 is the start."""
+    aut = spec.aut
+    start = tuple(0 if aut.accepting >> q & 1 else -1
+                  for q in range(aut.n_states))
+    return [start], {start: 0}, {}
 
 
 def _scan_stepper(spec: PatternSpec, span: int):
     """The start key and the step of the walk over reversed signatures of
-    height at most ``span``.  A key holds a prefix's states in
-    ``bounded_height_automaton(span)`` (level ``d.hi - x`` of a domain
-    ``d`` is set iff the letters read can start at value x), its backward
+    height at most ``span``.  A key holds a prefix's run counter c of
+    :func:`word_height` (the levels it can end on are
+    ``_height_levels(c, span)``; level ``d.hi - x`` of a domain ``d`` is
+    set iff the letters read can start at value x), the id of its backward
     scan row of :func:`maximal_occurrences` from the read position (per
     state, the letters of the longest accepting run over those read, or
     -1), and its maximal occurrences as (letters after the end, letters)
-    in signature order.  The step takes a key, the next letter's depth
-    and the letter, and gives the longer prefix's key, or None once it
-    leaves H_span; each (row, letter) step is built once per pattern."""
-    heights = sigregex.bounded_height_automaton(span)
+    in signature order, so by decreasing letters after.  The step takes a
+    key, the next letter's depth and the letter, and gives the longer
+    prefix's key, or None once the height exceeds the span; each
+    (row, letter) step is built once per pattern."""
     aut = spec.aut
     accepting = list(states_of(aut.accepting))
     initial = list(states_of(aut.initial))
-    moves = _row_moves(spec)
+    rows, ids, moves = _row_moves(spec)
 
     def step(key: tuple, depth: int, letter: str) -> Optional[tuple]:
-        states, row, chain = key
-        states = heights.step(states, letter)
-        if not states:
-            return None
+        c, row, chain = key
+        # _climb, inlined in the sweep's innermost step
+        if letter == LT:
+            c = c + 1 if c > 0 else 1
+            if c > span:
+                return None
+        elif letter == GT:
+            c = c - 1 if c < 0 else -1
+            if -c > span:
+                return None
         try:
             row, longest = moves[row, letter]
         except KeyError:
             # the row after position 0 holds ends one letter further on
             nxt = tuple(_far_step(aut, accepting, [
-                x + 1 if x >= 0 else -1 for x in row], 0, letter))
-            moves[row, letter] = nxt, max(map(nxt.__getitem__, initial))
+                x + 1 if x >= 0 else -1 for x in rows[row]], 0, letter))
+            if nxt not in ids:
+                ids[nxt] = len(rows)
+                rows.append(nxt)
+            moves[row, letter] = (ids[nxt],
+                                  max(map(nxt.__getitem__, initial)))
             row, longest = moves[row, letter]
         if longest > 0:
-            # the new start's match covers each later one ending no further
+            # the new start's match covers each later one ending no
+            # further: a prefix of the chain, so a suffix stays
             after = depth - longest
-            chain = ((after, longest),) + tuple(
-                o for o in chain if o[0] < after)
-        return states, row, chain
+            k = 0
+            while k < len(chain) and chain[k][0] >= after:
+                k += 1
+            chain = ((after, longest),) + chain[k:]
+        return c, row, chain
 
-    start = tuple(0 if aut.accepting >> q & 1 else -1
-                  for q in range(aut.n_states))
-    return (heights.initial, start, ()), step
+    return (0, 0, ()), step
 
 
 def _signature_levels(spec: PatternSpec, m: int, span: int,

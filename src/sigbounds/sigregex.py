@@ -32,7 +32,7 @@ words agrees with the letter order ``< , = , >`` used throughout the package;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import islice
 from operator import or_
 from typing import Iterable, Iterator, Optional
@@ -636,26 +636,6 @@ def compile(node: Regex) -> Automaton:  # noqa: A001 - mirrors re.compile
         arcs[positions[r - 1]].append((q, r))
     accepting = sum(1 << p for p in last) | int(nul)
     return _trim(len(positions) + 1, 1, accepting, arcs)
-
-
-@lru_cache(maxsize=None)
-def bounded_height_automaton(h: int) -> Automaton:
-    """Automaton of all words supportable within ``h + 1`` consecutive levels.
-
-    States are the levels ``0..h``; every state is initial and accepting.
-    ``<`` moves strictly up, ``>`` strictly down, ``=`` stays.  A word is
-    accepted iff its height is at most ``h``.
-    """
-    if h < 0:
-        raise ValueError("height bound must be nonnegative")
-    levels = range(h + 1)
-    arcs = {
-        LT: tuple((a, b) for a in levels for b in levels if b > a),
-        EQ: tuple((a, a) for a in levels),
-        GT: tuple((a, b) for a in levels for b in levels if b < a),
-    }
-    states = (1 << (h + 1)) - 1
-    return Automaton(h + 1, states, states, arcs)
 
 
 def dc_decompose(node: Regex) -> list[list[Regex]]:

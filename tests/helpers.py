@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import count, permutations, product
 from typing import Iterator, Optional
 
@@ -21,6 +21,7 @@ from sigbounds.series import (
 )
 from sigbounds.sigregex import (
     ALPHABET,
+    EQ,
     GT,
     LT,
     Automaton,
@@ -31,7 +32,6 @@ from sigbounds.sigregex import (
     Regex,
     Star,
     Union,
-    bounded_height_automaton,
     check_word,
     parse,
 )
@@ -76,6 +76,28 @@ def height_oracle(word: str) -> int:
         if forced <= h:
             return h
     return k
+
+
+@lru_cache(maxsize=None)
+def bounded_height_automaton(h: int) -> Automaton:
+    """H_h, the automaton of all words supportable within ``h + 1``
+    consecutive levels.
+
+    States are the levels ``0..h``; every state is initial and accepting.
+    ``<`` moves strictly up, ``>`` strictly down, ``=`` stays.  A word is
+    accepted iff its height is at most ``h``.  The package reads the run
+    counter of ``word_height`` instead; this is its reference.
+    """
+    if h < 0:
+        raise ValueError("height bound must be nonnegative")
+    levels = range(h + 1)
+    arcs = {
+        LT: tuple((a, b) for a in levels for b in levels if b > a),
+        EQ: tuple((a, a) for a in levels),
+        GT: tuple((a, b) for a in levels for b in levels if b < a),
+    }
+    states = (1 << (h + 1)) - 1
+    return Automaton(h + 1, states, states, arcs)
 
 
 def naive_matches(node: Regex, word: str) -> bool:

