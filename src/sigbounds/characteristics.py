@@ -162,20 +162,22 @@ def _counter_step(aut: sigregex.Automaton, level: tuple) -> tuple:
     return tuple(out)
 
 
-# the levels of _key_levels read so far, in the pattern's memo
+# the levels of _key_levels filed so far, in the pattern's memo
 _key_walk = _memoized(lambda spec: [((0, 0, spec.aut.initial),)])
 
 
 def _key_levels(spec: PatternSpec) -> Iterator[tuple]:
     """The keys reached by the words of 0, 1, 2, ... letters, without end:
     each (state, run counter c) once, under its least height, in a sorted
-    tuple of (height, c, states) per level, stepped once per pattern.  The
-    keys of height at most h are the walk within h."""
-    levels = _key_walk(spec)
+    tuple of (height, c, states) per level; the keys of height at most h
+    are the walk within h.  Levels up to n_states * (2 * width + 1), all
+    the height and template questions read, are filed once per pattern."""
+    levels, aut = _key_walk(spec), spec.aut
     for k in count():
-        if k == len(levels):
-            levels.append(_counter_step(spec.aut, levels[-1]))
-        yield levels[k]
+        level = levels[k] if k < len(levels) else _counter_step(aut, level)
+        if k == len(levels) <= aut.n_states * (2 * width(spec) + 1):
+            levels.append(level)
+        yield level
 
 
 @_memoized
@@ -282,19 +284,19 @@ def branch_specs(spec: PatternSpec) -> tuple[PatternSpec, ...]:
 
 @_memoized
 def inducing_words(spec: PatternSpec) -> frozenset[str]:
-    """The shortest nonempty word of each top-level branch.
+    """The shortest nonempty word of each top-level branch that has one.
 
-    Branches must be disjunction-capsuled and each must have a unique
-    shortest nonempty word; otherwise the corresponding error is raised.
+    Branches must be disjunction-capsuled, with at most one shortest
+    nonempty word, in a language that has one; otherwise the
+    corresponding error is raised.
     """
     sigregex.dc_decompose(spec.ast)
+    width(spec)
     out = set()
     for idx, branch in enumerate(branch_specs(spec)):
         shortest = branch.aut.shortest_nonempty_length()
         if shortest is None:
-            raise sigregex.EmptyLanguageError(
-                f"branch {idx} of {spec.name} has no nonempty word"
-            )
+            continue
         words = list(branch.aut.words(shortest))
         if len(words) != 1:
             raise AmbiguousInducingWordError(idx, words)

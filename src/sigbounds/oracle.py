@@ -13,7 +13,8 @@ depend only on the lengths of the maximal occurrences, so the sweep reads
 the signatures of height at most the span instead, from the merged levels
 of ``series._signature_levels``, and folds each distinct sorted tuple of
 occurrence lengths of the last level once.  A cell with a failing row
-descends the same levels for the least series of each violated extreme.  Both stand for every series
+descends them from the last for the least series of each violated
+extreme, its extremes sharing each step.  Both stand for every series
 of the shape, (span + 1) ** n of them, and budgets count series.
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from itertools import islice, product
+from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import bounds as bounds_mod
@@ -56,7 +57,6 @@ from .series import (
     feature_of,
     signature,
 )
-from .sigregex import ALPHABET
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -291,15 +291,25 @@ class SweepReport:
         }
 
 
-def _chain_values(spec: PatternSpec, word: str,
-                  lengths: Sequence[int]) -> dict[Feature, list[int]]:
-    """The feature values of the maximal occurrences of the reversed
-    signature ``word``, which have ``lengths`` letters."""
-    widths = [k + 1 - spec.a - spec.b for k in lengths]
-    if widths and min(widths) < 1:
-        raise EmptyPatternError(f"an occurrence of {spec.name} in "
-                                f"{word[::-1]!r} trims to nothing")
-    return {Feature.ONE: [1] * len(widths), Feature.WIDTH: widths}
+def _chain_values(spec: PatternSpec, level: dict) -> tuple[dict, dict]:
+    """The sorted occurrence lengths of each chain on a last level of
+    ``series._signature_levels``, and the feature values of each distinct
+    tuple of them, named by the least reversed signature carrying it."""
+    lengths_of, values = {}, {}
+    for (_, _, chain), word in level.items():
+        # sorting once per distinct chain, not once per key, halves the cost
+        if chain in lengths_of:
+            continue
+        lengths = lengths_of[chain] = tuple(sorted(k for _, k in chain))
+        if lengths in values:
+            continue
+        widths = [k + 1 - spec.a - spec.b for k in lengths]
+        if widths and min(widths) < 1:
+            raise EmptyPatternError(f"an occurrence of {spec.name} in "
+                                    f"{word[::-1]!r} trims to nothing")
+        values[lengths] = {Feature.ONE: [1] * len(widths),
+                           Feature.WIDTH: widths}
+    return lengths_of, values
 
 
 def _cell_extrema(
@@ -313,23 +323,14 @@ def _cell_extrema(
     ``series._signature_levels``.  The features must read only the
     occurrences' lengths, so one value serves every series whose
     signature has maximal occurrences of those lengths, in any order:
-    each distinct sorted tuple of lengths is folded once, named by the
-    least reversed signature carrying it."""
+    each distinct sorted tuple of lengths is folded once."""
     trackers = {gf: ExtremaResult(n, d) for gf in set(gfs)}
     for _, f in trackers:
         if f not in (Feature.ONE, Feature.WIDTH):
             raise ValueError(f"feature {f.value!r} reads series values")
     for level in _signature_levels(spec, n - 1, d.span):
         pass
-    chains: dict[tuple, str] = {}
-    for (_, _, chain), word in level.items():
-        chains.setdefault(chain, word)
-    # sorting once per distinct chain, not once per key, halves the cost
-    folds: dict[tuple, str] = {}
-    for chain, word in chains.items():
-        folds.setdefault(tuple(sorted(k for _, k in chain)), word)
-    for lengths, word in folds.items():
-        feats = _chain_values(spec, word, lengths)
+    for lengths, feats in _chain_values(spec, level)[1].items():
         for (g, f), tracker in trackers.items():
             tracker.add(None, aggregate(g, feats[f]), bool(lengths))
     return trackers
@@ -339,60 +340,40 @@ def _counterexamples(spec: PatternSpec, n: int, d: Domain,
                      wanted: Iterable[tuple[Aggregator, Feature, ExtendedInt]]
                      ) -> dict[tuple, TimeSeries]:
     """:func:`brute_extrema`'s witness of each wanted (g, f, extreme), the
-    first series of that value in lexicographic order, by a descent through
-    the merged levels of ``series._signature_levels``: each value is the
-    least x at which some key of the letters still to come can start (its
-    height bit ``d.hi - x``) and from which the letter into x, then those
-    chosen before, lead to a last key of that value.  Each distinct
-    sorted tuple of occurrence lengths there is valued once.  Nothing is
-    undone."""
-    wanted = set(wanted)
-    if not wanted or n == 1:
-        # nothing to find, or one value and no letters: the chain is empty
-        return {want: TimeSeries((d.lo,)) for want in wanted}
+    first series of that value in lexicographic order, by a descent of
+    the merged levels of ``series._signature_levels`` from the last, whose
+    keys of that value are the first targets: at level k the next value is
+    the least x at which a key can start (its height bit ``d.hi - x``)
+    that is a target (k = m) or that the letter into x steps into one, and
+    those keys are the next targets.  Every extreme reads one list of
+    steps per (k, letter).  Nothing is undone."""
     m = n - 1
     _, step = _scan_stepper(spec, d.span)
-    levels = list(islice(_signature_levels(spec, m, d.span), m))
-    # per wanted value, the keys one letter short of the last level that
-    # reach a key of that value, by that letter, and where those can start
-    into = {want: {ch: [] for ch in ALPHABET} for want in wanted}
-    starts = dict.fromkeys(wanted, 0)
-    # the wanted values met by each sorted tuple of occurrence lengths
-    meets: dict[tuple, list] = {}
-    for key, word in levels[-1].items():
-        for ch in ALPHABET:
-            last = step(key, m, ch)
-            if last is None:
-                continue
-            lengths = tuple(sorted(k for _, k in last[2]))
-            met = meets.get(lengths)
-            if met is None:
-                feats = _chain_values(spec, word + ch, lengths)
-                met = meets[lengths] = [
-                    want for want in wanted
-                    if aggregate(want[0], feats[want[1]]) == want[2]]
-            for want in met:
-                into[want][ch].append(key)
-                starts[want] |= _height_levels(last[0], d.span)
+    levels = list(_signature_levels(spec, m, d.span))
+    lengths_of, values = _chain_values(spec, levels[m])
+    steps: dict[tuple, list] = {}
     found: dict[tuple, TimeSeries] = {}
-    for want, by_letter in into.items():
-        vals = [next(x for x in range(d.lo, d.hi + 1)
-                     if starts[want] >> d.hi - x & 1)]
-        for k in range(m - 1, -1, -1):
+    for g, f, extreme in wanted:
+        hit = {lengths for lengths, feats in values.items()
+               if aggregate(g, feats[f]) == extreme}
+        targets = {key for key in levels[m] if lengths_of[key[2]] in hit}
+        vals: list[int] = []
+        for k in range(m, -1, -1):
+            keys = targets
             for x in range(d.lo, d.hi + 1):
-                letter = signature((vals[-1], x))
-                if letter not in by_letter:  # into[want] has every letter
-                    by_letter[letter] = [key for key in levels[k] if step(
-                        key, k + 1, letter) in landing]
+                if k < m:
+                    letter = signature((vals[-1], x))
+                    if (k, letter) not in steps:
+                        steps[k, letter] = [(key, step(key, k + 1, letter))
+                                            for key in levels[k]]
+                    keys = {key for key, to in steps[k, letter]
+                            if to in targets}
                 if any(_height_levels(key[0], d.span) >> d.hi - x & 1
-                       for key in by_letter[letter]):
+                       for key in keys):
                     break
             vals.append(x)
-            # the keys of the last k letters that led there
-            landing, by_letter = set(by_letter[letter]), {}
-        # rows with one witness share one series
-        found[want] = next((t for t in found.values() if list(t) == vals),
-                           TimeSeries(tuple(vals)))
+            targets = keys
+        found[g, f, extreme] = TimeSeries(tuple(vals))
     return found
 
 
@@ -455,9 +436,9 @@ def sharpness_report(
                         valid=valid,
                         attained=ref == br.value,
                     )))
-                # one descent per violated extreme of the cell
-                found = _counterexamples(spec, n, d, [
-                    (r.g, r.f, extreme) for extreme, r in rows if not r.valid])
+                wanted = [(r.g, r.f, extreme)
+                          for extreme, r in rows if not r.valid]
+                found = _counterexamples(spec, n, d, wanted) if wanted else {}
                 report.rows += [
                     r if r.valid else
                     replace(r, counterexample=found[(r.g, r.f, extreme)])

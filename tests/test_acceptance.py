@@ -124,9 +124,13 @@ class TestAcceptance:
             # every row, witnesses included, byte for byte
             rows = json.dumps(rep.to_json()["rows"]).encode()
             assert hashlib.sha256(rows).hexdigest() == ROWS_SHA256
+            # the failing path timed on its own: cells with a row one step
+            # too tight descend for their counterexamples
+            t1 = time.time()
             tight = orc.sharpness_report(
                 [entry.spec for entry in cat.all_entries()],
                 bound_fn=off_by_one)
+            tight_s = time.time() - t1
             rows = json.dumps(tight.to_json()["rows"]).encode()
             assert hashlib.sha256(rows).hexdigest() == OFF_BY_ONE_ROWS_SHA256
             elapsed = time.time() - t0
@@ -134,7 +138,8 @@ class TestAcceptance:
             s = rep.summary()
             c["detail"] = (
                 f"{s['rows']} rows, {s['sharp_confirmed']} sharp confirmed, "
-                f"{s['skipped']} skipped, 0 failed, {elapsed:.1f}s"
+                f"{s['skipped']} skipped, 0 failed, {elapsed:.1f}s; "
+                f"off-by-one sweep {tight_s:.2f}s"
             )
 
     def test_3_worked_figure(self):

@@ -227,6 +227,18 @@ class TestKeyWalk:
                     CharValue.undefined() if want is None
                     else CharValue.defined(want)), (spec.name, n)
 
+    def test_a_long_walk_files_only_the_levels_questions_read(self):
+        # the range at n = 2,000 reads level 1,999 of about 1,000 keys;
+        # filing every level on the way held about n^2 / 4 keys
+        even = PatternSpec("even", "(<<)*>+")
+        assert ch.range_of(even, 2000) == CharValue.defined(1000)
+        filed = len(ch._key_walk(even))
+        assert filed <= even.aut.n_states * (2 * ch.width(even) + 1) + 1
+        assert filed < 50
+        # a walk past the filed levels reads the same levels again
+        assert ch.range_of(even, 500) == CharValue.defined(250)
+        assert len(ch._key_walk(even)) == filed
+
 
 class TestInducingWords:
     def test_single_branch(self):

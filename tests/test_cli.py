@@ -96,6 +96,18 @@ class TestChars:
         assert "no nonempty word in the language" in p.stderr
         assert "unknown pattern" not in p.stderr
 
+    def test_a_branch_without_nonempty_word_adds_nothing(self):
+        # the same nonempty words, so the same occurrences and report
+        for nullable, plain in (("<?", "<"), ("(<>)?", "<>"),
+                                ("=*<|1", "=*<")):
+            got = [run("chars", expr, "--format", "json")
+                   for expr in (nullable, plain)]
+            assert [p.returncode for p in got] == [0, 0], nullable
+            a, b = (roundtrips(p.stdout) for p in got)
+            for payload in (a, b):
+                del payload["pattern"], payload["expr"]
+            assert a == b, nullable
+
     def test_raw_expression_keeps_the_parse_error_column(self):
         p = run("chars", "<x>")
         assert p.returncode == 2
@@ -253,10 +265,14 @@ class TestVerify:
             assert p.stderr == \
                 f"error: {expr}: no nonempty word in the language\n"
             assert "Traceback" not in p.stderr
-        # one empty branch is a skip reason, not bad input
-        p = run("verify", "<|1", "--max-n", "3")
+        # a branch of the empty word alone adds no occurrence: the
+        # language's nonempty words answer every row
+        p = run("verify", "<|1", "--max-n", "3", "--format", "json")
         assert p.returncode == 0
-        assert "branch 1 of <|1 has no nonempty word" in p.stdout
+        rows = roundtrips(p.stdout)["rows"]
+        assert not any("nonempty" in (r["skip"] or "") for r in rows)
+        assert {r["source"] for r in rows if r["side"] == "lower"
+                and r["f"] == "one"} == {"nb-simple-lower"}
 
     def test_requires_names_or_all(self):
         p = run("verify")
