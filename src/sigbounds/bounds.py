@@ -151,6 +151,7 @@ def _settled_variation(spec: PatternSpec, d: Domain) -> int:
 def nb_lower(spec: PatternSpec, n: int, d: Domain) -> BoundResult:
     """Sharp lower bound on the number of maximal occurrences."""
     _require_length(n)
+    chars.width(spec)
     try:
         check = properties.nb_simple(spec, d)
     except (sigregex.RegexError, chars.CharacteristicsError) as e:

@@ -552,7 +552,7 @@ def _shifts(spec: PatternSpec, z: str) -> list[tuple[str, int]]:
         falls.append(fall)
     low = list(map(min, rises, reversed(falls)))
     return [(z[i - 1:j], -max(low[i - 1:j + 1]))
-            for i, j in _maximal_spans(spec.aut, low)]
+            for i, j in _maximal_spans(spec, low)]
 
 
 def _shift_gap(spec: PatternSpec, z: str, v: str, w: str) -> Optional[int]:

@@ -290,7 +290,7 @@ def cmd_eval(gf: str, pattern: str, series: str, fmt: str) -> None:
         if series == "-":
             series = click.get_text_stream("stdin").read()
         t = TimeSeries.from_text(series)
-        spans = _maximal_spans(spec.aut, t.values)
+        spans = _maximal_spans(spec, t.values)
         feats = _features(spec, f, t.values, spans)
         value = aggregate(g, feats)
         details = []

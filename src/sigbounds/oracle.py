@@ -10,12 +10,12 @@ report certifies the bound formulas against them.
 
 :func:`brute_extrema` walks every series.  The features of ``bounds.RULES``
 depend only on the lengths of the maximal occurrences, so the sweep reads
-the signatures of height at most the span instead, from the merged levels
-of ``series._signature_levels``, and folds each distinct sorted tuple of
-occurrence lengths of the last level once.  A cell with a failing row
-descends them from the last for the least series of each violated
-extreme, its extremes sharing each step.  Both stand for every series
-of the shape, (span + 1) ** n of them, and budgets count series.
+the signatures of height at most the span, in one walk per pattern and
+domain of ``series._signature_levels`` whose first n merged levels serve
+the cells of length n.  A cell folds each distinct sorted tuple of
+occurrence lengths of its last level once; one with a failing row descends
+its levels for the least series of each violated extreme.  Both stand for
+every series of the shape, (span + 1) ** n of them; budgets count series.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def brute_extrema(
     check_budget(n, d, budget)
     out = ExtremaResult(n, d)
     for t in enumerate_series(n, d):
-        spans = _maximal_spans(spec.aut, t.values)
+        spans = _maximal_spans(spec, t.values)
         vals = [feature_of(spec, f, t, Occurrence(i, j)) for i, j in spans]
         out.add(t, aggregate(g, vals), bool(spans))
     return out
@@ -314,42 +314,39 @@ def _chain_values(spec: PatternSpec, level: dict) -> tuple[dict, dict]:
 
 def _cell_extrema(
     spec: PatternSpec,
-    n: int,
+    levels: Sequence[dict],
     d: Domain,
     gfs: Iterable[tuple[Aggregator, Feature]],
 ) -> dict[tuple[Aggregator, Feature], ExtremaResult]:
     """What :func:`brute_extrema` gives for several aggregator/feature
-    pairs, witnesses aside, from the last of the merged levels of
-    ``series._signature_levels``.  The features must read only the
-    occurrences' lengths, so one value serves every series whose
-    signature has maximal occurrences of those lengths, in any order:
-    each distinct sorted tuple of lengths is folded once."""
-    trackers = {gf: ExtremaResult(n, d) for gf in set(gfs)}
+    pairs, witnesses aside, on ``len(levels)`` values, from the last of
+    the merged ``levels`` of ``series._signature_levels``.  The features
+    must read only the occurrences' lengths, so one value serves every
+    series whose signature has maximal occurrences of those lengths, in
+    any order: each distinct sorted tuple of lengths is folded once."""
+    trackers = {gf: ExtremaResult(len(levels), d) for gf in set(gfs)}
     for _, f in trackers:
         if f not in (Feature.ONE, Feature.WIDTH):
             raise ValueError(f"feature {f.value!r} reads series values")
-    for level in _signature_levels(spec, n - 1, d.span):
-        pass
-    for lengths, feats in _chain_values(spec, level)[1].items():
+    for lengths, feats in _chain_values(spec, levels[-1])[1].items():
         for (g, f), tracker in trackers.items():
             tracker.add(None, aggregate(g, feats[f]), bool(lengths))
     return trackers
 
 
-def _counterexamples(spec: PatternSpec, n: int, d: Domain,
+def _counterexamples(spec: PatternSpec, levels: Sequence[dict], d: Domain,
                      wanted: Iterable[tuple[Aggregator, Feature, ExtendedInt]]
                      ) -> dict[tuple, TimeSeries]:
     """:func:`brute_extrema`'s witness of each wanted (g, f, extreme), the
     first series of that value in lexicographic order, by a descent of
-    the merged levels of ``series._signature_levels`` from the last, whose
-    keys of that value are the first targets: at level k the next value is
-    the least x at which a key can start (its height bit ``d.hi - x``)
-    that is a target (k = m) or that the letter into x steps into one, and
-    those keys are the next targets.  Every extreme reads one list of
-    steps per (k, letter).  Nothing is undone."""
-    m = n - 1
+    ``levels``, as in :func:`_cell_extrema`, from the last, whose keys of
+    that value are the first targets: at level k the next value is the
+    least x at which a key can start (its height bit ``d.hi - x``) that is
+    a target (k = m) or that the letter into x steps into one, and those
+    keys are the next targets.  Every extreme reads one list of steps per
+    (k, letter).  Nothing is undone."""
+    m = len(levels) - 1
     _, step = _scan_stepper(spec, d.span)
-    levels = list(_signature_levels(spec, m, d.span))
     lengths_of, values = _chain_values(spec, levels[m])
     steps: dict[tuple, list] = {}
     found: dict[tuple, TimeSeries] = {}
@@ -398,49 +395,53 @@ def sharpness_report(
     report = SweepReport()
     ns = list(n_range)
     # reject oversized requests before touching any cell
-    for d in domains:
+    for d, n in product(domains, ns):
+        check_budget(n, d, budget)
+    for spec, d in product(specs, domains):
+        # no level depends on the length, so one walk serves every cell
+        walk = _signature_levels(spec, max(ns, default=1) - 1, d.span)
+        levels: list[dict] = []
         for n in ns:
-            check_budget(n, d, budget)
-    for spec in specs:
-        for d in domains:
-            for n in ns:
-                got: dict = {}
-                for g, f, side in gf_list:
-                    try:
-                        got[(g, f, side)] = bound_fn(g, f, side, spec, n, d)
-                    except BoundError as e:
-                        report.rows.append(SweepRow(
-                            spec.name, g, f, side, n, d,
-                            skip=f"{type(e).__name__}: {e}",
-                        ))
-                if not got:
-                    continue
-                cells = _cell_extrema(spec, n, d, [(g, f) for g, f, _ in got])
-                rows = []
-                for (g, f, side), br in got.items():
-                    ex = cells[(g, f)]
-                    if side is Side.UPPER:
-                        extreme = ref = ex.max_all
-                        valid = extreme <= br.value
-                    else:
-                        extreme = ex.min_all
-                        valid = br.value <= extreme
-                        ref = ex.min_occ if f is Feature.WIDTH else extreme
-                    rows.append((extreme, SweepRow(
+            got: dict = {}
+            for g, f, side in gf_list:
+                try:
+                    got[(g, f, side)] = bound_fn(g, f, side, spec, n, d)
+                except BoundError as e:
+                    report.rows.append(SweepRow(
                         spec.name, g, f, side, n, d,
-                        bound=br.value,
-                        sharp_claimed=br.sharp,
-                        source=br.source,
-                        brute_min=ex.min_all,
-                        brute_max=ex.max_all,
-                        valid=valid,
-                        attained=ref == br.value,
-                    )))
-                wanted = [(r.g, r.f, extreme)
-                          for extreme, r in rows if not r.valid]
-                found = _counterexamples(spec, n, d, wanted) if wanted else {}
-                report.rows += [
-                    r if r.valid else
-                    replace(r, counterexample=found[(r.g, r.f, extreme)])
-                    for extreme, r in rows]
+                        skip=f"{type(e).__name__}: {e}",
+                    ))
+            if not got:
+                continue
+            while len(levels) < n:
+                levels.append(next(walk))
+            cell = levels[:n]
+            cells = _cell_extrema(spec, cell, d, [(g, f) for g, f, _ in got])
+            rows = []
+            for (g, f, side), br in got.items():
+                ex = cells[(g, f)]
+                if side is Side.UPPER:
+                    extreme = ref = ex.max_all
+                    valid = extreme <= br.value
+                else:
+                    extreme = ex.min_all
+                    valid = br.value <= extreme
+                    ref = ex.min_occ if f is Feature.WIDTH else extreme
+                rows.append((extreme, SweepRow(
+                    spec.name, g, f, side, n, d,
+                    bound=br.value,
+                    sharp_claimed=br.sharp,
+                    source=br.source,
+                    brute_min=ex.min_all,
+                    brute_max=ex.max_all,
+                    valid=valid,
+                    attained=ref == br.value,
+                )))
+            wanted = [(r.g, r.f, extreme)
+                      for extreme, r in rows if not r.valid]
+            found = _counterexamples(spec, cell, d, wanted) if wanted else {}
+            report.rows += [
+                r if r.valid else
+                replace(r, counterexample=found[(r.g, r.f, extreme)])
+                for extreme, r in rows]
     return report

@@ -262,8 +262,8 @@ class _TableFull(Exception):
 
 
 class _RowTable(dict):
-    """The row types of one automaton's scan by key, filed as scans meet
-    them, and what building them reads of the automaton."""
+    """The row types of one pattern's scan by key, filed in its memo as
+    scans meet them, and what building them reads of its automaton."""
 
     __slots__ = ("aut", "accepting", "initial", "spare", "start")
 
@@ -340,17 +340,18 @@ def _far_step(aut: Automaton, accepting: list[int], far: list[int], i: int,
     return nxt
 
 
-def _maximal_spans(aut: Automaton, vals: Sequence[int]
+_scan_rows = _memoized(lambda spec: _RowTable(spec.aut))
+
+
+def _maximal_spans(spec: PatternSpec, vals: Sequence[int]
                    ) -> list[tuple[int, int]]:
-    """The 1-based (i, j) of the maximal matches of ``aut`` in the
+    """The 1-based (i, j) of the maximal matches of ``spec`` in the
     signature of the series ``vals``, by position, from one backward pass
     over its comparisons, each read off two neighbouring values; see
     :func:`maximal_occurrences`."""
     m = len(vals) - 1
-    table = aut._scan_rows
-    if table is None:
-        table = aut._scan_rows = _RowTable(aut)
-    node = table.start
+    table = _scan_rows(spec)
+    aut, node = table.aut, table.start
     regs = [-1] * (aut.n_states + 2)
     regs[1] = m
     # ends[i]: 1-based end of the longest match starting at i + 1, or -1
@@ -408,14 +409,14 @@ def maximal_occurrences(spec: PatternSpec, s: str) -> list[Occurrence]:
     lie and which register the position just read joined, plus the
     registers themselves, so a letter costs one table lookup and one
     register write.  The types form a lazily determinised automaton kept
-    on ``spec.aut``: each (type, letter) transition is built once, in
+    in the pattern memo: each (type, letter) transition is built once, in
     O(arcs), and at most ``MAX_ROW_TYPES`` types are filed.  A scan that
     needs one more finishes its word on the automaton's arcs, at O(arcs)
     per letter, as an untabled scan would.  Space O(|s|).
     """
     check_word(s)
     return [Occurrence(i, j)
-            for i, j in _maximal_spans(spec.aut, _series_of(s))]
+            for i, j in _maximal_spans(spec, _series_of(s))]
 
 
 @_memoized
@@ -560,7 +561,7 @@ def evaluate(
     """
     vals = t.values
     return aggregate(g, _features(spec, f, vals,
-                                  _maximal_spans(spec.aut, vals)))
+                                  _maximal_spans(spec, vals)))
 
 
 def enumerate_series(n: int, d: Domain) -> Iterator[TimeSeries]:

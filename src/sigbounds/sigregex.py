@@ -378,7 +378,7 @@ class Automaton:
     """
 
     __slots__ = ("n_states", "initial", "accepting", "arcs", "_succ",
-                 "_next", "_reversal", "_scan_rows")
+                 "_next", "_reversal")
 
     def __init__(self, n_states: int, initial: int, accepting: int,
                  arcs: Arcs):
@@ -389,8 +389,6 @@ class Automaton:
         self._succ: dict[str, dict[int, int]] = {ch: {} for ch in ALPHABET}
         self._next: Optional[list[int]] = None
         self._reversal: Optional[Automaton] = None
-        # the occurrence scan's row types (series._RowTable), filed there
-        self._scan_rows: Optional[dict] = None
 
     def __repr__(self) -> str:
         return (f"Automaton(states={self.n_states}, initial={self.initial:#b}, "

@@ -367,7 +367,7 @@ class TestShift:
         for spec in specs:
             for z in zs:
                 want = [(z[i - 1:j], min(least[z][i - 1:j + 1]))
-                        for i, j in _maximal_spans(spec.aut, support[z])]
+                        for i, j in _maximal_spans(spec, support[z])]
                 assert ch._shifts(spec, z) == want, (spec.name, z)
 
     def test_gap_reads_both_shifts_of_one_scan(self):

@@ -189,6 +189,18 @@ class TestBound:
         p = run("bound", "nb", "peak", "--side", "upper", "--n", "1")
         assert p.returncode == 2
 
+    def test_empty_language_exits_two_on_either_side(self):
+        # a language with no nonempty word is bad input, not a pattern no
+        # rule covers, whichever side is asked for
+        for expr in ("1", "0", "()", "0|1"):
+            for side in ("lower", "upper"):
+                p = run("bound", "nb", expr, "--side", side, "--n", "5",
+                        "--hi", "2")
+                assert p.returncode == 2, (expr, side)
+                assert p.stderr == (
+                    f"error: {expr}: no nonempty word in the language\n"), \
+                    (expr, side)
+
     def test_bad_gf_token_exits_two(self):
         p = run("bound", "widest", "peak", "--side", "upper", "--n", "5")
         assert p.returncode == 2

@@ -114,7 +114,8 @@ class TestCellExtrema:
         grid += [(d, n) for d in (Domain(0, 0), Domain(0, 3), Domain(2, 4))
                  for n in range(2, 6)]
         for d, n in grid:
-            cells = orc._cell_extrema(spec, n, d, gfs)
+            levels = list(_signature_levels(spec, n - 1, d.span))
+            cells = orc._cell_extrema(spec, levels, d, gfs)
             # every series of the shape is folded in, whatever lo is
             total = sum(1 for _ in enumerate_series(n, d))
             assert {ex.count for ex in cells.values()} == {total}, (n, d)
@@ -141,16 +142,16 @@ class TestCellExtrema:
         # the message names the first such signature in letter order
         with pytest.raises(EmptyPatternError, match=re.escape(
                 "an occurrence of lone in '==<' trims to nothing")):
-            orc._cell_extrema(lone, 4, Domain(0, 1),
-                              [(Aggregator.SUM, Feature.ONE)])
+            orc._cell_extrema(lone, list(_signature_levels(lone, 3, 1)),
+                              Domain(0, 1), [(Aggregator.SUM, Feature.ONE)])
         with pytest.raises(EmptyPatternError, match="trims to nothing"):
             orc.brute_extrema(lone, Feature.ONE, Aggregator.SUM, 4,
                               Domain(0, 1))
 
     def test_value_dependent_feature_is_refused(self):
         with pytest.raises(ValueError, match="surf"):
-            orc._cell_extrema(PEAK, 4, Domain(0, 1),
-                              [(Aggregator.SUM, Feature.SURF)])
+            orc._cell_extrema(PEAK, list(_signature_levels(PEAK, 3, 1)),
+                              Domain(0, 1), [(Aggregator.SUM, Feature.SURF)])
 
         def surf_bound(g, f, side, spec, n, d):
             return BoundResult(0, side, False, "test")
@@ -187,6 +188,24 @@ class TestRawSweep:
         assert rep.ok, [r.to_json() for r in rep.failures[:5]]
 
 
+def _counted_key_steps(monkeypatch) -> list[int]:
+    """A counter of the key steps every signature walk takes from here on;
+    each walk gets its step from ``series._scan_stepper``."""
+    stepper, calls = series._scan_stepper, [0]
+
+    def counted_stepper(spec, span):
+        start, step = stepper(spec, span)
+
+        def counted(*args):
+            calls[0] += 1
+            return step(*args)
+        return start, counted
+
+    monkeypatch.setattr(series, "_scan_stepper", counted_stepper)
+    monkeypatch.setattr(orc, "_scan_stepper", counted_stepper)
+    return calls
+
+
 class TestSignatureLevels:
     @pytest.mark.parametrize(
         "spec", [e.spec for e in cat.all_entries()]
@@ -215,28 +234,18 @@ class TestSignatureLevels:
                 assert list(got.items()) == list(want.items()), (span, m)
 
     def test_the_fold_merges_prefixes_and_lists_no_words(self, monkeypatch):
-        stepper, calls = series._scan_stepper, [0]
-
-        def counted_stepper(spec, span):
-            start, step = stepper(spec, span)
-
-            def counted(*args):
-                calls[0] += 1
-                return step(*args)
-            return start, counted
-
         def refused(*args):
             raise AssertionError("words were listed")
 
         def walk_only():
-            monkeypatch.setattr(series, "_scan_stepper", counted_stepper)
-            monkeypatch.setattr(orc, "_scan_stepper", counted_stepper)
             monkeypatch.setattr(sr.Automaton, "_prefixes", refused)
             # the key's run counter stands for H_span: no automaton steps
             monkeypatch.setattr(sr.Automaton, "step", refused)
+            return _counted_key_steps(monkeypatch)
 
-        walk_only()
-        cells = orc._cell_extrema(PEAK, 10, Domain(0, 3),
+        calls = walk_only()
+        cells = orc._cell_extrema(PEAK, list(_signature_levels(PEAK, 9, 3)),
+                                  Domain(0, 3),
                                   [(g, f) for g, f, _ in orc.GF_SUPPORTED])
         assert cells[(Aggregator.SUM, Feature.ONE)].max_all == 4
         # 2,697 key steps; the word walk steps 24,165 times on this cell
@@ -246,17 +255,18 @@ class TestSignatureLevels:
         monkeypatch.undo()
         tight = {(g, f, side): off_by_one(g, f, side, PEAK, 10, Domain(0, 3))
                  for g, f, side in orc.GF_SUPPORTED}
-        walk_only()
-        calls[0] = 0
+        calls = walk_only()
         rep = orc.sharpness_report(
             [PEAK], n_range=[10], domains=[Domain(0, 3)],
             bound_fn=lambda g, f, side, *_: tight[g, f, side])
         assert len(rep.failures) == 5
         assert all(r.counterexample for r in rep.failures)
-        # 7,492 steps here, each (level, letter) stepped once for all five
-        # extremes; 8,845 when each extreme stepped its own, and the fold
-        # and a walk over the words took 2,697 + 24,165
-        assert 0 < calls[0] <= 8845
+        # 4,795 steps here: the fold's one walk of 2,697, then 2,098 down
+        # its levels, each (level, letter) stepped once for all five
+        # extremes; 7,492 when the descent walked the levels again, 8,845
+        # when each extreme also stepped its own, and a walk over the
+        # words took 24,165 on top of the fold
+        assert 0 < calls[0] <= 4795
         assert pr._carries_maximal(PEAK, "<>", 10, 3)
 
     def test_a_longer_wider_walk_files_every_shorter_narrower_step(self):
@@ -289,7 +299,8 @@ class TestSignatureLevels:
         gfs = [(g, f) for g, f, _ in orc.GF_SUPPORTED]
         for span in (1, 2, 3):
             for n in range(2, 8):
-                orc._cell_extrema(spec, n, Domain(0, span), gfs)
+                levels = list(_signature_levels(spec, n - 1, span))
+                orc._cell_extrema(spec, levels, Domain(0, span), gfs)
         # the rows, not the length or the span, name a step
         moves = series._row_moves(spec)[2]
         assert built[0] == len(moves) < 100
@@ -644,6 +655,35 @@ class TestSweep:
         assert summary["failed"] == 0
         assert summary["sharp_confirmed"] == sum(
             1 for r in rep.rows if r.skip is None and r.sharp_claimed)
+
+    def test_a_sweep_walks_each_pattern_and_domain_once(self, monkeypatch):
+        # every length's cell folds a slice of one walk to the longest
+        spec = PatternSpec(PEAK.name, PEAK.expr, PEAK.a, PEAK.b)
+        calls = _counted_key_steps(monkeypatch)
+        rep = orc.sharpness_report([spec], n_range=range(2, 11),
+                                   domains=[Domain(0, 3)])
+        assert rep.ok and rep.summary()["checked"] == 45
+        swept, calls[0] = calls[0], 0
+        for _ in _signature_levels(spec, 9, 3):
+            pass
+        # 2,697 steps each; a walk per length took 5,349
+        assert swept == calls[0]
+
+    def test_any_length_order_keeps_the_one_length_rows(self):
+        # the walk is stepped to n = 7 first, then read shorter and again;
+        # the off-by-one bounds make some cells descend a slice
+        specs, ns = [PEAK, ZIGZAG], [7, 3, 7, 2]
+        domains = [Domain(0, 1), Domain(0, 2), Domain(0, 3)]
+        for bound_fn in (None, off_by_one):
+            got = orc.sharpness_report(specs, n_range=ns, domains=domains,
+                                       bound_fn=bound_fn)
+            want = [row for spec in specs for d in domains for n in ns
+                    for row in orc.sharpness_report(
+                        [spec], n_range=[n], domains=[d],
+                        bound_fn=bound_fn).rows]
+            assert got.rows == want
+        assert any(r.counterexample for r in got.rows)
+        assert orc.sharpness_report(specs, n_range=[]).rows == []
 
     def test_budget_rejects_before_enumerating(self):
         with pytest.raises(orc.BudgetExceededError):

@@ -193,7 +193,9 @@ class _Reads(ast.NodeVisitor):
 
 def test_one_function_reads_the_scan_row_table():
     # the table has one scan loop; a second kernel over it would have to
-    # keep the same rows, fallback and tie rules in step with the first
+    # keep the same rows, fallback and tie rules in step with the first.
+    # The table is built in the pattern memo, by the module-level lambda
+    # of _scan_rows, and the automaton holds nothing of it
     package = Path(sigbounds.__file__).parent
     found = set()
     for path in sorted(package.glob("*.py")):
@@ -201,7 +203,8 @@ def test_one_function_reads_the_scan_row_table():
         reads.visit(ast.parse(path.read_text("utf-8")))
         found |= {(path.stem, where, name) for where, name in reads.found}
     assert found == {("series", "_maximal_spans", "_scan_rows"),
-                     ("series", "_maximal_spans", "_RowTable")}
+                     ("series", None, "_RowTable")}
+    assert "_scan_rows" not in sigbounds.sigregex.Automaton.__slots__
 
 
 def test_one_function_reads_the_walk_row_table():
@@ -214,6 +217,20 @@ def test_one_function_reads_the_walk_row_table():
         reads.visit(ast.parse(path.read_text("utf-8")))
         found |= {(path.stem, where, name) for where, name in reads.found}
     assert found == {("series", "_scan_stepper", "_row_moves")}
+
+
+def test_the_sweep_alone_walks_the_signature_levels():
+    # the sweep opens one walk per (pattern, domain) and hands each cell
+    # its levels, so how a cell's signatures are enumerated is decided in
+    # one place: the fold and the descent only read what they are given
+    package = Path(sigbounds.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        reads = _Reads({"_signature_levels"})
+        reads.visit(ast.parse(path.read_text("utf-8")))
+        found |= {(path.stem, where) for where, _ in reads.found}
+    assert found == {("oracle", "sharpness_report"),
+                     ("properties", "_carries_maximal")}
 
 
 def test_height_questions_walk_keys_not_products():

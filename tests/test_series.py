@@ -261,7 +261,7 @@ class TestTabledScan:
             assert se.maximal_occurrences(spec, w) == want[w], w
             # table builds step at position 0, the fallback mid-word
             assert max(positions) > 0
-        assert len(spec.aut._scan_rows) == se.MAX_ROW_TYPES
+        assert len(se._scan_rows(spec)) == se.MAX_ROW_TYPES
         # a full table on a series: the fallback reads the same letters
         t = TimeSeries(tuple(range(n + 1)))
         positions.clear()
@@ -274,7 +274,7 @@ class TestTabledScan:
         spec = PatternSpec("cycles", PRIME_CYCLES)
         assert se.maximal_occurrences(spec, "<" * 100_000) == [
             Occurrence(1, 100_000)]
-        assert len(spec.aut._scan_rows) <= se.MAX_ROW_TYPES
+        assert len(se._scan_rows(spec)) <= se.MAX_ROW_TYPES
 
 
 class TestLongSeries:
