@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import sys
 from dataclasses import fields
 from typing import NoReturn, Optional, Sequence
@@ -46,7 +45,6 @@ from .series import (
 from .sigregex import ALPHABET, RegexError, word_key
 
 SCHEMA_VERSION = 1
-BUDGET_ENV = "SIGBOUNDS_BUDGET"
 
 # every way user input can be at fault
 _INPUT_ERRORS = (
@@ -337,13 +335,12 @@ def cmd_eval(gf: str, pattern: str, series: str, fmt: str) -> None:
               help="check every series length from 2 to this")
 @click.option("--domains", default="0:1,0:2,0:3", show_default=True,
               help="comma-separated lo:hi domains")
-@click.option("--budget", type=int, default=None,
-              help=f"series-enumeration budget (default from ${BUDGET_ENV} "
-                   f"or {DEFAULT_BUDGET})")
+@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
+              help="series-enumeration budget")
 @_format_option
 def cmd_verify(names: tuple[str, ...], run_all: bool,
                gf_tokens: tuple[str, ...], max_n: int, domains: str,
-               budget: Optional[int], fmt: str) -> None:
+               budget: int, fmt: str) -> None:
     """Certify bounds against exhaustive enumeration; exit 0 iff all pass."""
     try:
         if run_all:
@@ -363,8 +360,6 @@ def cmd_verify(names: tuple[str, ...], run_all: bool,
                 combo for tok in gf_tokens for combo in _VERIFY_GF[tok]
             ))
         )
-        if budget is None:
-            budget = int(os.environ.get(BUDGET_ENV, DEFAULT_BUDGET))
         if budget < 0:
             raise ValueError(f"budget must be nonnegative, got {budget}")
     except _INPUT_ERRORS as exc:

@@ -39,14 +39,13 @@ from .characteristics import (
 from .series import (
     Aggregator,
     Domain,
-    EmptyPatternError,
     ExtendedInt,
     Feature,
     MINUS_INF,
-    Occurrence,
     PLUS_INF,
     PatternSpec,
     TimeSeries,
+    _features,
     _height_levels,
     _maximal_spans,
     _scan_stepper,
@@ -54,7 +53,6 @@ from .series import (
     aggregate,
     enumerate_series,
     ext_to_json,
-    feature_of,
     signature,
 )
 
@@ -162,7 +160,7 @@ def brute_extrema(
     out = ExtremaResult(n, d)
     for t in enumerate_series(n, d):
         spans = _maximal_spans(spec, t.values)
-        vals = [feature_of(spec, f, t, Occurrence(i, j)) for i, j in spans]
+        vals = _features(spec, f, t.values, spans)
         out.add(t, aggregate(g, vals), bool(spans))
     return out
 
@@ -291,22 +289,24 @@ class SweepReport:
         }
 
 
-def _chain_values(spec: PatternSpec, level: dict) -> tuple[dict, dict]:
-    """The sorted occurrence lengths of each chain on a last level of
-    ``series._signature_levels``, and the feature values of each distinct
-    tuple of them, named by the least reversed signature carrying it."""
+def _chain_values(spec: PatternSpec, levels: Sequence[dict]
+                  ) -> tuple[dict, dict]:
+    """The sorted occurrence lengths of each chain on the last of the
+    merged ``levels`` of ``series._signature_levels``, and the feature
+    values of each distinct tuple of them: ``series._features``' widths of
+    the first chain carrying it, whose entry (after, k) is the occurrence
+    (m - after - k + 1, m - after) of a signature of m letters."""
+    m = len(levels) - 1
     lengths_of, values = {}, {}
-    for (_, _, chain), word in level.items():
+    for _, _, chain in levels[m]:
         # sorting once per distinct chain, not once per key, halves the cost
         if chain in lengths_of:
             continue
         lengths = lengths_of[chain] = tuple(sorted(k for _, k in chain))
         if lengths in values:
             continue
-        widths = [k + 1 - spec.a - spec.b for k in lengths]
-        if widths and min(widths) < 1:
-            raise EmptyPatternError(f"an occurrence of {spec.name} in "
-                                    f"{word[::-1]!r} trims to nothing")
+        widths = _features(spec, Feature.WIDTH, (), [
+            (m - after - k + 1, m - after) for after, k in chain])
         values[lengths] = {Feature.ONE: [1] * len(widths),
                            Feature.WIDTH: widths}
     return lengths_of, values
@@ -328,7 +328,7 @@ def _cell_extrema(
     for _, f in trackers:
         if f not in (Feature.ONE, Feature.WIDTH):
             raise ValueError(f"feature {f.value!r} reads series values")
-    for lengths, feats in _chain_values(spec, levels[-1])[1].items():
+    for lengths, feats in _chain_values(spec, levels)[1].items():
         for (g, f), tracker in trackers.items():
             tracker.add(None, aggregate(g, feats[f]), bool(lengths))
     return trackers
@@ -347,7 +347,7 @@ def _counterexamples(spec: PatternSpec, levels: Sequence[dict], d: Domain,
     (k, letter).  Nothing is undone."""
     m = len(levels) - 1
     _, step = _scan_stepper(spec, d.span)
-    lengths_of, values = _chain_values(spec, levels[m])
+    lengths_of, values = _chain_values(spec, levels)
     steps: dict[tuple, list] = {}
     found: dict[tuple, TimeSeries] = {}
     for g, f, extreme in wanted:
@@ -394,8 +394,10 @@ def sharpness_report(
         bound_fn = bounds_mod.bound
     report = SweepReport()
     ns = list(n_range)
-    # reject oversized requests before touching any cell
+    # reject short lengths and oversized requests before touching any cell
     for d, n in product(domains, ns):
+        if n < 1:
+            raise ValueError(f"series length must be at least 1, got {n}")
         check_budget(n, d, budget)
     for spec, d in product(specs, domains):
         # no level depends on the length, so one walk serves every cell

@@ -233,7 +233,6 @@ def nb_overlap(spec: PatternSpec, d: Domain) -> PropertyCheck:
     return _fail(prop, _NB_OVERLAP_CONDITIONS[deepest])
 
 
-@_memoized
 def _carries_maximal(spec: PatternSpec, v: str, n: int, span: int) -> bool:
     """Some signature of n - 1 letters, height at most span, has v maximal:
     one walk per count of letters after v, with v's letters forced there."""

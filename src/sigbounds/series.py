@@ -485,25 +485,25 @@ def _scan_stepper(spec: PatternSpec, span: int):
 
 def _signature_levels(spec: PatternSpec, m: int, span: int,
                       letters: Optional[Sequence[str]] = None
-                      ) -> Iterator[dict[tuple, str]]:
+                      ) -> Iterator[dict[tuple, None]]:
     """The signatures of ``m`` letters and height at most ``span``,
-    reversed, level by level with prefixes merged: level k maps each key
-    of :func:`_scan_stepper` that a prefix of k letters reaches to the
-    least such prefix, since prefixes with one key have the same
-    continuations; a key's row does not depend on ``m``, so every walk of
-    a pattern reads its steps off one table.  ``letters[k - 1]``, when
-    given, holds the letters allowed at depth k."""
+    reversed, level by level with prefixes merged: level k holds each key
+    of :func:`_scan_stepper` that a prefix of k letters reaches, as a dict
+    of keys to None ordered by the least such prefix, since prefixes with
+    one key have the same continuations; a key's row does not depend on
+    ``m``, so every walk of a pattern reads its steps off one table.
+    ``letters[k - 1]``, when given, holds the letters allowed at depth k."""
     start, step = _scan_stepper(spec, span)
-    level = {start: ""}
+    level = {start: None}
     yield level
     for depth in range(1, m + 1):
-        nxt: dict[tuple, str] = {}
+        nxt: dict[tuple, None] = {}
         allowed = ALPHABET if letters is None else letters[depth - 1]
-        for key, word in level.items():
+        for key in level:
             for ch in allowed:
                 reached = step(key, depth, ch)
                 if reached is not None and reached not in nxt:
-                    nxt[reached] = word + ch
+                    nxt[reached] = None
         level = nxt
         yield level
 

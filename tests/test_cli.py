@@ -14,10 +14,8 @@ FIGURE = "4,4,0,0,2,4,4,7,4,0,0,2,2,2,2,2,2,0"
 SRC = os.path.dirname(os.path.dirname(sigbounds.__file__))
 
 
-def run(*args: str, env: dict = None):
+def run(*args: str):
     full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
     full_env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (SRC, full_env.get("PYTHONPATH"))))
     return subprocess.run(
@@ -296,23 +294,14 @@ class TestVerify:
         assert p.returncode == 4
         assert "exceed budget" in p.stderr
 
-    def test_budget_env_variable(self):
-        p = run("verify", "peak", "--max-n", "5",
-                env={"SIGBOUNDS_BUDGET": "10"})
+    def test_small_budget_exits_four(self):
+        p = run("verify", "peak", "--max-n", "5", "--budget", "10")
         assert p.returncode == 4
 
     def test_negative_budget_is_bad_input(self):
         p = run("verify", "peak", "--budget", "-5")
         assert p.returncode == 2
         assert "budget must be nonnegative, got -5" in p.stderr
-        p = run("verify", "peak", env={"SIGBOUNDS_BUDGET": "-5"})
-        assert p.returncode == 2
-        assert "budget must be nonnegative, got -5" in p.stderr
-
-    def test_budget_flag_overrides_env(self):
-        p = run("verify", "peak", "--max-n", "3", "--domains", "0:1",
-                "--budget", "5000000", env={"SIGBOUNDS_BUDGET": "10"})
-        assert p.returncode == 0
 
     def test_json_report(self):
         p = run("verify", "dec", "--max-n", "3", "--domains", "0:2",

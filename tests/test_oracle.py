@@ -139,12 +139,13 @@ class TestCellExtrema:
 
     def test_an_occurrence_trimmed_to_nothing_is_refused(self):
         lone = PatternSpec("lone", "<", a=1, b=1)
-        # the message names the first such signature in letter order
-        with pytest.raises(EmptyPatternError, match=re.escape(
-                "an occurrence of lone in '==<' trims to nothing")):
+        # both read series._features, so both name the occurrence of the
+        # first such signature in letter order, '==<', in its words
+        refusal = re.escape("occurrence (3,3) of lone trims to nothing")
+        with pytest.raises(EmptyPatternError, match=refusal):
             orc._cell_extrema(lone, list(_signature_levels(lone, 3, 1)),
                               Domain(0, 1), [(Aggregator.SUM, Feature.ONE)])
-        with pytest.raises(EmptyPatternError, match="trims to nothing"):
+        with pytest.raises(EmptyPatternError, match=refusal):
             orc.brute_extrema(lone, Feature.ONE, Aggregator.SUM, 4,
                               Domain(0, 1))
 
@@ -221,17 +222,14 @@ class TestSignatureLevels:
                 assert len(levels) == m + 1
                 for k, level in enumerate(levels):
                     assert len(level) <= prefixes[k], (span, m, k)
-                # each chain, in order, with the least word carrying it,
-                # the chain scanned on each reversed signature by itself
-                want, got = {}, {}
-                for word in bounded_height_automaton(span).words(m):
-                    chain = tuple(
-                        (m - o.j, o.j - o.i + 1)
-                        for o in series.maximal_occurrences(spec, word[::-1]))
-                    want.setdefault(chain, word)
-                for (_, _, chain), word in levels[-1].items():
-                    got.setdefault(chain, word)
-                assert list(got.items()) == list(want.items()), (span, m)
+                # each chain, ordered by the least word carrying it, the
+                # chain scanned on each reversed signature by itself
+                want = dict.fromkeys(
+                    tuple((m - o.j, o.j - o.i + 1) for o in
+                          series.maximal_occurrences(spec, word[::-1]))
+                    for word in bounded_height_automaton(span).words(m))
+                got = dict.fromkeys(chain for _, _, chain in levels[-1])
+                assert list(got) == list(want), (span, m)
 
     def test_the_fold_merges_prefixes_and_lists_no_words(self, monkeypatch):
         def refused(*args):
@@ -689,6 +687,25 @@ class TestSweep:
         with pytest.raises(orc.BudgetExceededError):
             orc.sharpness_report([PEAK], n_range=range(2, 31),
                                  domains=[Domain(0, 1)])
+
+    def test_a_length_below_one_is_refused_before_any_cell(self,
+                                                           monkeypatch):
+        def answer(g, f, side, spec, n, d):
+            return BoundResult(0, side, False, "test")
+
+        nb = [(Aggregator.SUM, Feature.ONE, Side.UPPER)]
+        calls = _counted_key_steps(monkeypatch)
+        for ns in ([0], [3, -1]):
+            with pytest.raises(ValueError, match=f"at least 1, got {ns[-1]}"):
+                orc.sharpness_report([PEAK], nb, n_range=ns,
+                                     domains=[Domain(0, 1)], bound_fn=answer)
+        assert calls[0] == 0
+        # one value folds level 0 alone: a series with no occurrence
+        rep = orc.sharpness_report([PEAK], nb, n_range=[1],
+                                   domains=[Domain(0, 1)], bound_fn=answer)
+        assert [(r.brute_min, r.brute_max, r.valid) for r in rep.rows] == \
+            [(0, 0, True)]
+        assert calls[0] == 0
 
     def test_row_json_shape(self):
         rep = orc.sharpness_report([PEAK], n_range=[4],

@@ -233,6 +233,17 @@ def test_the_sweep_alone_walks_the_signature_levels():
                      ("properties", "_carries_maximal")}
 
 
+def test_the_oracle_reads_widths_through_the_feature_rule():
+    # a width is the trimmed length k + 1 - a - b; the oracle reads it from
+    # series._features, so no trimming constant of a pattern is read there
+    # and the sweep and brute_extrema refuse an empty occurrence alike
+    path = Path(sigbounds.__file__).parent / "oracle.py"
+    tree = ast.parse(path.read_text("utf-8"))
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr in ("a", "b")]
+
+
 def test_height_questions_walk_keys_not_products():
     # height, range and its templates read the (state, run counter) keys,
     # so no function builds an automaton product or a height-bounded
