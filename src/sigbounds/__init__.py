@@ -58,7 +58,6 @@ from .characteristics import (
     shift,
     smallest_variation,
     superpositions,
-    variation_of_words,
     width,
 )
 from .properties import (

@@ -574,18 +574,6 @@ def _pair_variation(spec: PatternSpec, v: str, w: str, zs: list[str]) -> int:
                key=lambda x: (abs(x), x), default=0)
 
 
-def variation_of_words(spec: PatternSpec, v: str, w: str, d: Domain) -> int:
-    """Signed difference of shifts on the tightest-gluing superposition.
-
-    For v != w the candidates are shift(z, v, 1) - shift(z, w, 1); for
-    v == w the first two v-occurrences are compared.  Among superpositions
-    where both shifts exist, the one minimising the absolute difference
-    wins, ties broken by canonical word order.  With no usable
-    superposition the variation is 0.
-    """
-    return _pair_variation(spec, v, w, superpositions(spec, v, w, d))
-
-
 def _least_variation(vals: list[int]) -> Optional[int]:
     """The least-magnitude value of vals, 0 when there is none, and None
     when both a positive and a negative value occur."""

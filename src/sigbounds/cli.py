@@ -128,7 +128,9 @@ def _emit_table(fmt: str, headers: Sequence[str],
         click.echo("| " + " | ".join(headers) + " |")
         click.echo("|" + "|".join(" --- " for _ in headers) + "|")
         for row in rows:
-            click.echo("| " + " | ".join(row) + " |")
+            # a | inside a cell would end it
+            click.echo("| " + " | ".join(c.replace("|", r"\|") for c in row)
+                       + " |")
         return
     widths = [
         max(len(str(h)), *(len(r[i]) for r in rows)) if rows else len(str(h))

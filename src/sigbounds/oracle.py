@@ -45,15 +45,14 @@ from .series import (
     PLUS_INF,
     PatternSpec,
     TimeSeries,
+    _chain_values,
+    _counterexamples,
     _features,
-    _height_levels,
     _maximal_spans,
-    _scan_stepper,
     _signature_levels,
     aggregate,
     enumerate_series,
     ext_to_json,
-    signature,
 )
 
 DEFAULT_BUDGET = 5_000_000
@@ -289,29 +288,6 @@ class SweepReport:
         }
 
 
-def _chain_values(spec: PatternSpec, levels: Sequence[dict]
-                  ) -> tuple[dict, dict]:
-    """The sorted occurrence lengths of each chain on the last of the
-    merged ``levels`` of ``series._signature_levels``, and the feature
-    values of each distinct tuple of them: ``series._features``' widths of
-    the first chain carrying it, whose entry (after, k) is the occurrence
-    (m - after - k + 1, m - after) of a signature of m letters."""
-    m = len(levels) - 1
-    lengths_of, values = {}, {}
-    for _, _, chain in levels[m]:
-        # sorting once per distinct chain, not once per key, halves the cost
-        if chain in lengths_of:
-            continue
-        lengths = lengths_of[chain] = tuple(sorted(k for _, k in chain))
-        if lengths in values:
-            continue
-        widths = _features(spec, Feature.WIDTH, (), [
-            (m - after - k + 1, m - after) for after, k in chain])
-        values[lengths] = {Feature.ONE: [1] * len(widths),
-                           Feature.WIDTH: widths}
-    return lengths_of, values
-
-
 def _cell_extrema(
     spec: PatternSpec,
     levels: Sequence[dict],
@@ -332,46 +308,6 @@ def _cell_extrema(
         for (g, f), tracker in trackers.items():
             tracker.add(None, aggregate(g, feats[f]), bool(lengths))
     return trackers
-
-
-def _counterexamples(spec: PatternSpec, levels: Sequence[dict], d: Domain,
-                     wanted: Iterable[tuple[Aggregator, Feature, ExtendedInt]]
-                     ) -> dict[tuple, TimeSeries]:
-    """:func:`brute_extrema`'s witness of each wanted (g, f, extreme), the
-    first series of that value in lexicographic order, by a descent of
-    ``levels``, as in :func:`_cell_extrema`, from the last, whose keys of
-    that value are the first targets: at level k the next value is the
-    least x at which a key can start (its height bit ``d.hi - x``) that is
-    a target (k = m) or that the letter into x steps into one, and those
-    keys are the next targets.  Every extreme reads one list of steps per
-    (k, letter).  Nothing is undone."""
-    m = len(levels) - 1
-    _, step = _scan_stepper(spec, d.span)
-    lengths_of, values = _chain_values(spec, levels)
-    steps: dict[tuple, list] = {}
-    found: dict[tuple, TimeSeries] = {}
-    for g, f, extreme in wanted:
-        hit = {lengths for lengths, feats in values.items()
-               if aggregate(g, feats[f]) == extreme}
-        targets = {key for key in levels[m] if lengths_of[key[2]] in hit}
-        vals: list[int] = []
-        for k in range(m, -1, -1):
-            keys = targets
-            for x in range(d.lo, d.hi + 1):
-                if k < m:
-                    letter = signature((vals[-1], x))
-                    if (k, letter) not in steps:
-                        steps[k, letter] = [(key, step(key, k + 1, letter))
-                                            for key in levels[k]]
-                    keys = {key for key, to in steps[k, letter]
-                            if to in targets}
-                if any(_height_levels(key[0], d.span) >> d.hi - x & 1
-                       for key in keys):
-                    break
-            vals.append(x)
-            targets = keys
-        found[g, f, extreme] = TimeSeries(tuple(vals))
-    return found
 
 
 def sharpness_report(

@@ -21,8 +21,8 @@ from typing import Mapping, Optional
 
 from . import characteristics as chars
 from . import sigregex
-from .series import (Domain, PatternSpec, _climb, _memoized,
-                     _signature_levels, word_height)
+from .series import (Domain, PatternSpec, _carries_maximal, _climb,
+                     _memoized, word_height)
 from .sigregex import ALPHABET, EQ, GT, LT
 
 
@@ -231,20 +231,6 @@ def nb_overlap(spec: PatternSpec, d: Domain) -> PropertyCheck:
                  "overlap": o, "variation": delta},
             )
     return _fail(prop, _NB_OVERLAP_CONDITIONS[deepest])
-
-
-def _carries_maximal(spec: PatternSpec, v: str, n: int, span: int) -> bool:
-    """Some signature of n - 1 letters, height at most span, has v maximal:
-    one walk per count of letters after v, with v's letters forced there."""
-    m, k = n - 1, len(v)
-    for after in range(m - k + 1):
-        letters = [ALPHABET] * m
-        letters[after:after + k] = v[::-1]
-        for level in _signature_levels(spec, m, span, letters):
-            pass
-        if any((after, k) in chain for _, _, chain in level):
-            return True
-    return False
 
 
 _NO_OVERLAP_LENGTHS = 5

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import wraps
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import sigregex
 from .sigregex import (ALPHABET, EQ, GT, LT, Automaton, Regex, check_word,
@@ -130,9 +130,6 @@ class TimeSeries:
         except ValueError:
             raise SeriesError(f"malformed series {text!r}") from None
 
-    def fits(self, d: Domain) -> bool:
-        return all(d.lo <= x <= d.hi for x in self.values)
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -194,9 +191,6 @@ class Occurrence:
 
     i: int
     j: int
-
-    def extended(self) -> tuple[int, int]:
-        return (self.i, self.j + 1)
 
     def trimmed(self, a: int, b: int) -> tuple[int, int]:
         return (self.i + b, self.j + 1 - a)
@@ -506,6 +500,83 @@ def _signature_levels(spec: PatternSpec, m: int, span: int,
                     nxt[reached] = None
         level = nxt
         yield level
+
+
+def _chain_values(spec: PatternSpec, levels: Sequence[dict]
+                  ) -> tuple[dict, dict]:
+    """The sorted occurrence lengths of each chain on the last of the
+    merged ``levels`` of :func:`_signature_levels`, and the feature
+    values of each distinct tuple of them: :func:`_features`' widths of
+    the first chain carrying it, whose entry (after, k) is the occurrence
+    (m - after - k + 1, m - after) of a signature of m letters."""
+    m = len(levels) - 1
+    lengths_of, values = {}, {}
+    for _, _, chain in levels[m]:
+        # sorting once per distinct chain, not once per key, halves the cost
+        if chain in lengths_of:
+            continue
+        lengths = lengths_of[chain] = tuple(sorted(k for _, k in chain))
+        if lengths in values:
+            continue
+        widths = _features(spec, Feature.WIDTH, (), [
+            (m - after - k + 1, m - after) for after, k in chain])
+        values[lengths] = {Feature.ONE: [1] * len(widths),
+                           Feature.WIDTH: widths}
+    return lengths_of, values
+
+
+def _counterexamples(spec: PatternSpec, levels: Sequence[dict], d: Domain,
+                     wanted: Iterable[tuple[Aggregator, Feature, ExtendedInt]]
+                     ) -> dict[tuple, TimeSeries]:
+    """``oracle.brute_extrema``'s witness of each wanted (g, f, extreme),
+    the first series of that value in lexicographic order, by a descent of
+    ``levels``, as in ``oracle._cell_extrema``, from the last, whose keys
+    of that value are the first targets: at level k the next value is the
+    least x at which a key can start (its height bit ``d.hi - x``) that is
+    a target (k = m) or that the letter into x steps into one, and those
+    keys are the next targets.  Every extreme reads one list of steps per
+    (k, letter).  Nothing is undone."""
+    m = len(levels) - 1
+    _, step = _scan_stepper(spec, d.span)
+    lengths_of, values = _chain_values(spec, levels)
+    steps: dict[tuple, list] = {}
+    found: dict[tuple, TimeSeries] = {}
+    for g, f, extreme in wanted:
+        hit = {lengths for lengths, feats in values.items()
+               if aggregate(g, feats[f]) == extreme}
+        targets = {key for key in levels[m] if lengths_of[key[2]] in hit}
+        vals: list[int] = []
+        for k in range(m, -1, -1):
+            keys = targets
+            for x in range(d.lo, d.hi + 1):
+                if k < m:
+                    letter = signature((vals[-1], x))
+                    if (k, letter) not in steps:
+                        steps[k, letter] = [(key, step(key, k + 1, letter))
+                                            for key in levels[k]]
+                    keys = {key for key, to in steps[k, letter]
+                            if to in targets}
+                if any(_height_levels(key[0], d.span) >> d.hi - x & 1
+                       for key in keys):
+                    break
+            vals.append(x)
+            targets = keys
+        found[g, f, extreme] = TimeSeries(tuple(vals))
+    return found
+
+
+def _carries_maximal(spec: PatternSpec, v: str, n: int, span: int) -> bool:
+    """Some signature of n - 1 letters, height at most span, has v maximal:
+    one walk per count of letters after v, with v's letters forced there."""
+    m, k = n - 1, len(v)
+    for after in range(m - k + 1):
+        letters = [ALPHABET] * m
+        letters[after:after + k] = v[::-1]
+        for level in _signature_levels(spec, m, span, letters):
+            pass
+        if any((after, k) in chain for _, _, chain in level):
+            return True
+    return False
 
 
 def feature_of(spec: PatternSpec, f: Feature, t: TimeSeries,

@@ -266,7 +266,8 @@ def naive_shift(spec: PatternSpec, z: str, w: str, i: int):
     occs = [o for o in maximal_occurrences(spec, z) if z[o.i - 1:o.j] == w]
     if len(occs) < i:
         return None
-    lo, hi = occs[i - 1].extended()
+    o = occs[i - 1]
+    lo, hi = o.i, o.j + 1
     return min(max(t.values) - max(t.values[lo - 1:hi])
                for t in iter_supporting_series(z, Domain(0, word_height(z))))
 

@@ -398,7 +398,9 @@ class TestSmallestVariation:
             == CharValue.defined(0)
 
     def test_terrace(self):
-        assert ch.variation_of_words(DEC_TER, ">=>", ">=>", Domain(0, 3)) == -1
+        v = w = ">=>"
+        zs = ch.superpositions(DEC_TER, v, w, Domain(0, 3))
+        assert ch._pair_variation(DEC_TER, v, w, zs) == -1
         assert ch.smallest_variation(DEC_TER, Domain(0, 2)) \
             == CharValue.defined(0)
         assert ch.smallest_variation(DEC_TER, Domain(0, 3)) \

@@ -1,13 +1,21 @@
-"""End-to-end command-line checks through real subprocesses."""
+"""End-to-end command-line checks through real subprocesses, and one
+in-process run whose bounds are patched to fail."""
 
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
+from click.testing import CliRunner
+
 import sigbounds
-from sigbounds import cli
-from sigbounds.oracle import GF_SUPPORTED
+from sigbounds import bounds, cli
+from sigbounds.bounds import Side
+from sigbounds.catalogue import lookup
+from sigbounds.oracle import GF_SUPPORTED, brute_extrema
+from sigbounds.series import Aggregator, Domain, Feature
 
 FIGURE = "4,4,0,0,2,4,4,7,4,0,0,2,2,2,2,2,2,0"
 # the subprocesses run the same package the tests import
@@ -29,6 +37,13 @@ def roundtrips(stdout: str) -> dict:
     payload = json.loads(stdout)
     assert json.dumps(payload, indent=2, sort_keys=True) == stdout.strip()
     return payload
+
+
+def md_cells(stdout: str) -> list[int]:
+    """The cell count of each line of an md table, an escaped ``\\|``
+    being no cell border."""
+    return [len(line.replace("\\|", "").split("|")) - 2
+            for line in stdout.strip().split("\n")]
 
 
 class TestTopLevel:
@@ -66,6 +81,24 @@ class TestChars:
         p = run("chars", "<>")
         assert p.returncode == 0
         assert "width     : 2" in p.stdout
+
+    def test_md_and_csv_rows(self):
+        md = run("chars", "peak", "--format", "md")
+        assert md.returncode == 0
+        lines = md.stdout.strip().split("\n")
+        assert len(lines) == 3
+        assert lines[0].startswith("| pattern | expr | a | b | domain |")
+        assert lines[2] == ("| peak | <(<\\|=)*(>\\|=)*> | 1 | 1 | 0:1 | 3 | 6 "
+                            "| 2 | 1 | 1 | 0 | 0 | <> | 1 | 0 |")
+        csv_out = run("chars", "peak", "--format", "csv")
+        assert csv_out.returncode == 0
+        assert csv_out.stdout.strip().split("\n")[1] == \
+            "peak,<(<|=)*(>|=)*>,1,1,0:1,3,6,2,1,1,0,0,<>,1,0"
+
+    def test_length_below_two_exits_two(self):
+        p = run("chars", "peak", "--n", "1")
+        assert p.returncode == 2
+        assert p.stderr == "error: series length must be at least 2\n"
 
     def test_parse_error_exits_two(self):
         p = run("chars", "((")
@@ -172,6 +205,21 @@ class TestBound:
         assert payload["sharp"] is True
         assert payload["m_used"] == 6
 
+    def test_md_and_csv_rows(self):
+        row = ("peak", "sum", "one", "upper", "6", "0:1", "2", "true",
+               "nb-interval-structure", "6",
+               "occurrence-feasible=ok nb-overlap=ok")
+        md = run("bound", "nb", "peak", "--side", "upper", "--n", "6",
+                 "--format", "md")
+        assert md.returncode == 0
+        lines = md.stdout.strip().split("\n")
+        assert len(lines) == 3
+        assert lines[2] == "| " + " | ".join(row) + " |"
+        csv_out = run("bound", "nb", "peak", "--side", "upper", "--n", "6",
+                      "--format", "csv")
+        assert csv_out.returncode == 0
+        assert csv_out.stdout.strip().split("\n")[1] == ",".join(row)
+
     def test_missing_property_exits_three(self):
         p = run("bound", "max_width", "bump", "--side", "upper",
                 "--n", "7", "--hi", "2")
@@ -250,6 +298,20 @@ class TestEval:
         assert payload["occurrences"][0] == {
             "i": 4, "j": 9, "trim_lo": 5, "trim_hi": 9, "width": 5}
 
+    def test_md_and_csv_rows(self):
+        md = run("eval", "min_width", "peak", "--series", FIGURE,
+                 "--format", "md")
+        assert md.returncode == 0
+        assert md.stdout.split("\n")[2:] == [
+            "| 4 | 9 | 5 | 9 | 5 |", "| 11 | 17 | 12 | 17 | 6 |",
+            "min of width = 5", ""]
+        csv_out = run("eval", "min_width", "peak", "--series", FIGURE,
+                      "--format", "csv")
+        assert csv_out.returncode == 0
+        assert csv_out.stdout.split("\n") == [
+            "i,j,trim_lo,trim_hi,width", "4,9,5,9,5", "11,17,12,17,6",
+            "min of width = 5", ""]
+
     def test_malformed_series_exits_two(self):
         p = run("eval", "nb", "peak", "--series", "1,x,3")
         assert p.returncode == 2
@@ -283,6 +345,35 @@ class TestVerify:
         assert not any("nonempty" in (r["skip"] or "") for r in rows)
         assert {r["source"] for r in rows if r["side"] == "lower"
                 and r["f"] == "one"} == {"nb-simple-lower"}
+
+    def test_max_n_below_two_exits_two(self):
+        p = run("verify", "peak", "--max-n", "1")
+        assert p.returncode == 2
+        assert p.stderr == "error: --max-n must be at least 2\n"
+
+    def test_failing_rows_print_their_counterexamples(self, monkeypatch):
+        # every bound one step too tight; the wrapper keeps the original,
+        # since the sweep looks bounds.bound up when it runs
+        bound = bounds.bound
+
+        def too_tight(g, f, side, spec, n, d):
+            r = bound(g, f, side, spec, n, d)
+            step = -1 if side is Side.UPPER else 1
+            return dataclasses.replace(r, value=r.value + step)
+
+        monkeypatch.setattr(bounds, "bound", too_tight)
+        got = CliRunner().invoke(cli.main, ["verify", "peak", "--max-n", "4"])
+        assert got.exit_code == 1
+        lines = got.output.strip().split("\n")
+        assert lines[-1] == "FAIL"
+        failed = int(re.search(r"failed (\d+)", got.output).group(1))
+        fails = [line for line in lines[:-1] if line.startswith("FAIL ")]
+        assert len(fails) == failed > 0
+        line = next(line for line in fails
+                    if " max_width upper n=4 d=0:2:" in line)
+        witness = brute_extrema(lookup("peak").spec, Feature.WIDTH,
+                                Aggregator.MAX, 4, Domain(0, 2)).witness_max
+        assert line.endswith(f"counterexample {witness}")
 
     def test_requires_names_or_all(self):
         p = run("verify")
@@ -359,3 +450,16 @@ class TestTable:
                       "Special:"):
             assert label in p.stdout
         assert "  peak  (overlap 1 at height span, 1 two wider)" in p.stdout
+
+
+def test_md_cells_escape_the_bar():
+    # a | inside a cell is written \|, so every md line has the header's
+    # cells: 8 catalogue expressions, a raw regex and a skip reason hold one
+    for args in (["table", "patterns"], ["chars", "<|>"],
+                 ["verify", "<|>", "--max-n", "2", "--domains", "0:1"]):
+        p = run(*args, "--format", "md")
+        assert p.returncode == 0, args
+        cells = md_cells(p.stdout)
+        assert cells == [cells[0]] * len(cells), args
+    assert "| decreasing_sequence | (>(>\\|=)*)*> | 0 | 0 |" in run(
+        "table", "patterns", "--format", "md").stdout

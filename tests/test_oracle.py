@@ -203,7 +203,6 @@ def _counted_key_steps(monkeypatch) -> list[int]:
         return start, counted
 
     monkeypatch.setattr(series, "_scan_stepper", counted_stepper)
-    monkeypatch.setattr(orc, "_scan_stepper", counted_stepper)
     return calls
 
 
