@@ -13,7 +13,9 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from collections import Counter
 from dataclasses import fields
+from itertools import groupby
 from typing import NoReturn, Optional, Sequence
 
 import click
@@ -380,10 +382,7 @@ def cmd_verify(names: tuple[str, ...], run_all: bool,
         _emit_json(rep.to_json())
     elif fmt in ("md", "csv"):
         headers = [f.name for f in fields(oracle_mod.SweepRow)]
-        rows = [
-            [_cell(r.to_json()[h]) for h in headers]
-            for r in rep.rows
-        ]
+        rows = [list(map(_cell, r.to_json().values())) for r in rep.rows]
         _emit_table(fmt, headers, rows)
     else:
         s = rep.summary()
@@ -396,10 +395,7 @@ def cmd_verify(names: tuple[str, ...], run_all: bool,
             f"skipped {s['skipped']}  failed {s['failed']}  "
             f"sharp confirmed {s['sharp_confirmed']}"
         )
-        reasons: dict[str, int] = {}
-        for row in rep.skips:
-            assert row.skip is not None
-            reasons[row.skip] = reasons.get(row.skip, 0) + 1
+        reasons = Counter(row.skip for row in rep.skips)
         if reasons:
             click.echo("skip reasons:")
             for reason, count in sorted(reasons.items()):
@@ -427,13 +423,8 @@ def _cell(v) -> str:
 # --------------------------------------------------------------------------
 # table
 
-_CLASS_LABELS = {
-    "overlapping": "Overlapping",
-    "non-overlapping": "Non-Overlapping",
-    "mixed": "Mixed",
-    "special": "Special",
-    "unclassified": "Unclassified",
-}
+# the classes of properties.overlap_class in table order; a class's label
+# is its name title-cased
 _CLASS_ORDER = ["overlapping", "non-overlapping", "mixed", "special",
                 "unclassified"]
 
@@ -490,15 +481,11 @@ def cmd_table(which: str, diff_golden: bool, fmt: str) -> None:
             o_wide = chars_mod.overlap(spec, Domain(0, entry.eta + 2))
             keyed.append((cls, entry.name, str(o_eta), str(o_wide)))
         keyed.sort(key=lambda item: (_CLASS_ORDER.index(item[0]), item[1]))
-        rows = [[name, _CLASS_LABELS[cls], o1, o2]
-                for cls, name, o1, o2 in keyed]
+        rows = [[name, cls.title(), o1, o2] for cls, name, o1, o2 in keyed]
         dicts = [dict(zip(headers, row)) for row in rows]
         if fmt == "human":
-            for cls in _CLASS_ORDER:
-                group = [item for item in keyed if item[0] == cls]
-                if not group:
-                    continue
-                click.echo(f"{_CLASS_LABELS[cls]}:")
+            for cls, group in groupby(keyed, key=lambda item: item[0]):
+                click.echo(f"{cls.title()}:")
                 for _, name, o1, o2 in group:
                     click.echo(f"  {name}  (overlap {o1} at height span, "
                                f"{o2} two wider)")

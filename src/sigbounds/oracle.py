@@ -124,17 +124,9 @@ class ExtremaResult:
             self.max_occ = max(self.max_occ, val)
 
     def to_json(self):
-        return {
-            "n": self.n,
-            "domain": str(self.domain),
-            "count": self.count,
-            "min_all": ext_to_json(self.min_all),
-            "max_all": ext_to_json(self.max_all),
-            "min_occ": ext_to_json(self.min_occ),
-            "max_occ": ext_to_json(self.max_occ),
-            "witness_min": _to_json(self.witness_min),
-            "witness_max": _to_json(self.witness_max),
-        }
+        out = {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
+        out["count"] = self.count
+        return out
 
 
 def check_budget(n: int, d: Domain, budget: int = DEFAULT_BUDGET) -> int:

@@ -1,10 +1,13 @@
 """Closed-form result bounds and the dispatch in front of them."""
 
 import math
+from itertools import product
 
 import pytest
+from helpers import raw_universe
 
 from sigbounds import bounds as bd
+from sigbounds import catalogue
 from sigbounds.bounds import BoundResult, Side
 from sigbounds.oracle import brute_extrema
 from sigbounds.series import Aggregator, Domain, Feature, PatternSpec
@@ -176,3 +179,53 @@ class TestDispatch:
                    bd.sum_width_upper, bd.min_width_lower):
             with pytest.raises(ValueError):
                 fn(PEAK, 1, Domain(0, 1))
+
+
+_MIRROR = str.maketrans("<>", "><")
+
+
+def _answer(rule, spec: PatternSpec, n: int, d: Domain):
+    """The rule's result, or None where it refuses to answer."""
+    try:
+        return rule(spec, n, d)
+    except bd.BoundError:
+        return None
+
+
+class TestMirrorImage:
+    def test_rules_agree_with_their_mirror_images(self):
+        # x -> lo + hi - x takes a series to one with the mirrored
+        # signature, the same occurrences and the same widths, so every
+        # extreme is mirror-invariant: a rule answers on both sides or on
+        # neither, two sharp answers are equal, and a sharp answer is not
+        # beyond the other side's bound
+        specs = [e.spec for e in catalogue.all_entries()]
+        specs += [PatternSpec(r, r) for r in raw_universe()]
+        assert len(specs) == 430
+        conflicts = []
+        both_sharp = 0
+        for spec in specs:
+            mirror = PatternSpec(spec.name + " mirrored",
+                                 spec.expr.translate(_MIRROR), spec.a, spec.b)
+            for span, n in product((1, 2, 3), (5, 9, 14, 30)):
+                d = Domain(0, span)
+                for key, rule in bd.RULES.items():
+                    res, mir = (_answer(rule, s, n, d) for s in (spec, mirror))
+                    case = (spec.expr, spec.a, spec.b, str(d), n, key, res, mir)
+                    if res is None or mir is None:
+                        if res is not mir:
+                            conflicts.append(case)
+                        continue
+                    if res.sharp and mir.sharp:
+                        both_sharp += 1
+                        if res.value != mir.value:
+                            conflicts.append(case)
+                    for sharp, other in ((res, mir), (mir, res)):
+                        if not sharp.sharp:
+                            continue
+                        if key[2] is Side.UPPER and sharp.value > other.value:
+                            conflicts.append(case)
+                        if key[2] is Side.LOWER and sharp.value < other.value:
+                            conflicts.append(case)
+        assert not conflicts, conflicts[:5]
+        assert both_sharp > 0

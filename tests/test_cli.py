@@ -1,6 +1,7 @@
 """End-to-end command-line checks through real subprocesses, and one
 in-process run whose bounds are patched to fail."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -13,8 +14,10 @@ from click.testing import CliRunner
 import sigbounds
 from sigbounds import bounds, cli
 from sigbounds.bounds import Side
-from sigbounds.catalogue import lookup
-from sigbounds.oracle import GF_SUPPORTED, brute_extrema
+from sigbounds.catalogue import all_entries, lookup
+from sigbounds.oracle import (GF_SUPPORTED, SweepRow, brute_extrema,
+                              sharpness_report)
+from sigbounds.properties import overlap_class
 from sigbounds.series import Aggregator, Domain, Feature
 
 FIGURE = "4,4,0,0,2,4,4,7,4,0,0,2,2,2,2,2,2,0"
@@ -410,6 +413,33 @@ class TestVerify:
         assert len(lines) == 11
         assert lines[0].startswith("pattern,g,f,side,n,domain,bound")
 
+    def test_md_and_csv_read_each_row_once(self, monkeypatch):
+        to_json = SweepRow.to_json
+        calls = []
+
+        def counted(row):
+            calls.append(row)
+            return to_json(row)
+
+        monkeypatch.setattr(SweepRow, "to_json", counted)
+        for fmt, head in (("csv", 1), ("md", 2)):
+            calls.clear()
+            got = CliRunner().invoke(
+                cli.main, ["verify", "peak", "--max-n", "4", "--format", fmt])
+            assert got.exit_code == 0, fmt
+            rows = len(got.output.strip().split("\n")) - head
+            assert len(calls) == rows > 0, fmt
+
+    def test_csv_rows_are_the_report_rows_in_order(self):
+        got = CliRunner().invoke(
+            cli.main, ["verify", "peak", "--max-n", "4", "--format", "csv"])
+        assert got.exit_code == 0
+        rows = list(csv.reader(got.output.strip().split("\n")))
+        rep = sharpness_report([lookup("peak").spec], n_range=range(2, 5))
+        assert rows[0] == [f.name for f in dataclasses.fields(SweepRow)]
+        assert rows[1:] == [[cli._cell(v) for v in r.to_json().values()]
+                            for r in rep.rows]
+
     def test_gf_restriction(self):
         p = run("verify", "--all", "--gf", "nb", "--max-n", "3",
                 "--domains", "0:1")
@@ -437,11 +467,21 @@ class TestTable:
         p = run("table", "characteristics", "--diff-golden",
                 "--format", "csv")
         assert p.returncode == 0
-        import csv as csv_mod
-        rows = list(csv_mod.reader(p.stdout.strip().split("\n")))
+        rows = list(csv.reader(p.stdout.strip().split("\n")))
         assert rows[0][-1] == "diff"
         assert len(rows) == 23
         assert all(r[-1] == "ok" for r in rows[1:])
+
+    def test_properties_csv_labels_are_the_class_names(self):
+        got = CliRunner().invoke(
+            cli.main, ["table", "properties", "--format", "csv"])
+        assert got.exit_code == 0
+        rows = list(csv.reader(got.output.strip().split("\n")))
+        specs = {e.name: e.spec for e in all_entries()}
+        assert rows[0][:2] == ["name", "class"]
+        assert sorted(r[0] for r in rows[1:]) == sorted(specs)
+        for name, label, *_ in rows[1:]:
+            assert label == overlap_class(specs[name]).title(), name
 
     def test_properties_grouping(self):
         p = run("table", "properties")
