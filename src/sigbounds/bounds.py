@@ -66,7 +66,7 @@ class Side(str, Enum):
     UPPER = "upper"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundResult:
     value: ExtendedInt
     side: Side
@@ -173,6 +173,7 @@ def nb_lower(spec: PatternSpec, n: int, d: Domain) -> BoundResult:
     )
 
 
+@chars._by_span
 def interval_cap(spec: PatternSpec, d: Domain) -> ExtendedInt:
     """Longest stretch of variables packable with occurrences, no restart.
 

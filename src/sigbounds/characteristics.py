@@ -26,8 +26,8 @@ in one sign only and settles at the first pair varying by 0.  Both read
 the domain only through its span, so each walk is made once per (pattern,
 span, cap) and kept, like the plain language measures, in the pattern's
 memo, freed with the pattern.  One rule, :func:`_by_span`, keys overlap
-and variation there by span and resolved cap, and the property checks,
-which read the default cap, by span alone.
+and variation there by span and resolved cap, and the property checks
+and ``bounds.interval_cap``, which read the default cap, by span alone.
 """
 
 from __future__ import annotations
@@ -630,8 +630,10 @@ def _variations(spec: PatternSpec, span: int,
     at 0, and nothing more is scanned.
     """
     top = cap + 2
+    if _max_overlaps(spec, span, top)[top] == 0:
+        return (0, 0, 0)
     free = [x for x in (GT, LT) if _accepts_without(spec.aut, x, top)]
-    if _max_overlaps(spec, span, top)[top] == 0 or not free:
+    if not free:
         return (0, 0, 0)
     words = [u for u in spec.aut.words_up_to(top) if u]
     has_gt = [u for u in words if GT in u]

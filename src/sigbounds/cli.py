@@ -14,7 +14,6 @@ import csv
 import json
 import sys
 from collections import Counter
-from dataclasses import fields
 from itertools import groupby
 from typing import NoReturn, Optional, Sequence
 
@@ -381,7 +380,7 @@ def cmd_verify(names: tuple[str, ...], run_all: bool,
     if fmt == "json":
         _emit_json(rep.to_json())
     elif fmt in ("md", "csv"):
-        headers = [f.name for f in fields(oracle_mod.SweepRow)]
+        headers = oracle_mod.SweepRow._fields
         rows = [list(map(_cell, r.to_json().values())) for r in rep.rows]
         _emit_table(fmt, headers, rows)
     else:

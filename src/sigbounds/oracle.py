@@ -20,10 +20,10 @@ every series of the shape, (span + 1) ** n of them; budgets count series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import product
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import bounds as bounds_mod
 from .bounds import BoundError, BoundResult, Side
@@ -215,8 +215,7 @@ def brute_variation(
 # --------------------------------------------------------------------------
 # Sharpness certification
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     pattern: str
     g: Aggregator
     f: Feature
@@ -242,7 +241,7 @@ class SweepRow:
         return self.sharp_claimed and self.attained is False
 
     def to_json(self):
-        return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
+        return dict(zip(self._fields, map(_to_json, self)))
 
 
 @dataclass
@@ -372,6 +371,6 @@ def sharpness_report(
             found = _counterexamples(spec, cell, d, wanted) if wanted else {}
             report.rows += [
                 r if r.valid else
-                replace(r, counterexample=found[(r.g, r.f, extreme)])
+                r._replace(counterexample=found[(r.g, r.f, extreme)])
                 for extreme, r in rows]
     return report

@@ -496,7 +496,8 @@ def _signature_levels(spec: PatternSpec, m: int, span: int,
         for key in level:
             for ch in allowed:
                 reached = step(key, depth, ch)
-                if reached is not None and reached not in nxt:
+                # a key set again keeps the position of its first prefix
+                if reached is not None:
                     nxt[reached] = None
         level = nxt
         yield level

@@ -107,6 +107,27 @@ class TestIntervalCap:
         assert bd.interval_cap(DEC_TER, Domain(0, 3)) == 6
         assert bd.interval_cap(DEC, Domain(0, 2)) == 3
 
+    def test_memoized_by_span(self, monkeypatch):
+        calls = []
+        settled = bd._settled_variation
+
+        def counted(spec, d):
+            calls.append((spec.name, d.span))
+            return settled(spec, d)
+
+        monkeypatch.setattr(bd, "_settled_variation", counted)
+        expected = {"decreasing": [math.inf, 3, 4],
+                    "decreasing_terrace": [math.inf, math.inf, 6],
+                    "peak": [math.inf] * 3}
+        for name, caps in expected.items():
+            e = catalogue.lookup(name).spec
+            spec = PatternSpec(e.name, e.expr, e.a, e.b)
+            for span, cap in zip((1, 2, 3), caps):
+                for lo in (0, 3):
+                    assert bd.interval_cap(spec, Domain(lo, lo + span)) \
+                        == cap, (name, lo, span)
+        assert sorted(calls) == sorted(product(expected, (1, 2, 3)))
+
 
 class TestMaxWidth:
     def test_saturated_domain_gives_full_trimmed_length(self):

@@ -436,7 +436,7 @@ class TestVerify:
         assert got.exit_code == 0
         rows = list(csv.reader(got.output.strip().split("\n")))
         rep = sharpness_report([lookup("peak").spec], n_range=range(2, 5))
-        assert rows[0] == [f.name for f in dataclasses.fields(SweepRow)]
+        assert rows[0] == list(SweepRow._fields)
         assert rows[1:] == [[cli._cell(v) for v in r.to_json().values()]
                             for r in rep.rows]
 

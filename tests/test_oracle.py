@@ -441,6 +441,22 @@ class TestRawCharacteristics:
         assert all(sr.LT in u and sr.GT in u
                    for u in peak.aut.words_up_to(8) if u)
 
+    def test_variation_of_a_pattern_that_never_overlaps_walks_nothing(
+            self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a strict-free word was searched")
+
+        # these never overlap within cap + 2 letters at spans 1 to 3, so the
+        # memoized overlap settles the variation before any other walk
+        monkeypatch.setattr(ch, "_accepts_without", refused)
+        for name in ("decreasing_sequence", "steady_sequence",
+                     "strictly_increasing_sequence"):
+            e = cat.lookup(name).spec
+            spec = PatternSpec(e.name, e.expr, e.a, e.b)
+            for span in (1, 2, 3):
+                assert ch._variations(spec, span, ch.default_cap(spec)) \
+                    == (0, 0, 0), (name, span)
+
     def test_zero_cap_is_the_least_cap_of_a_gluing_zero_pair(self):
         # at span 1 and cap 2 the first pair of the last language to glue,
         # (``>``, ``<=>``), fits cap + 1, and a later one, (``><``, ``><``),
@@ -545,6 +561,15 @@ class TestSweep:
             "rows": 5, "checked": 5, "skipped": 0, "failed": 0,
             "sharp_confirmed": 5,
         }
+
+    def test_rows_are_immutable_and_hashable(self):
+        rep = orc.sharpness_report([PEAK, DEC], n_range=[3],
+                                   domains=[Domain(0, 2)])
+        row = rep.rows[0]
+        with pytest.raises(AttributeError):
+            row.bound = 0
+        assert len(set(rep.rows)) == len(rep.rows)
+        assert row._replace(bound=row.bound) == row
 
     def test_skips_carry_the_refusing_error(self):
         rep = orc.sharpness_report([DEC], n_range=[3],

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import sigbounds
-from sigbounds import bounds, characteristics
+from sigbounds import bounds, characteristics, oracle
 from sigbounds.oracle import GF_SUPPORTED
 from sigbounds.series import (Aggregator, Domain, Feature, PatternSpec,
                               TimeSeries, evaluate)
@@ -331,3 +331,11 @@ def test_no_bound_rule_or_property_check_takes_a_cap():
                 if "cap" in names:
                     found.add((stem, getattr(node, "name", "<lambda>")))
     assert not found
+
+
+def test_per_row_records_skip_frozen_setattr():
+    # a frozen dataclass sets each field through object.__setattr__, a
+    # fixed cost on every row of the sweep: a row is built as one tuple,
+    # and each bound result sets its fields into slots, not a dict
+    assert issubclass(oracle.SweepRow, tuple)
+    assert "__slots__" in vars(bounds.BoundResult)
