@@ -5,7 +5,7 @@ closed-form bound, ``eval`` runs a constraint on a concrete series,
 ``verify`` certifies bounds against exhaustive enumeration, and ``table``
 emits the catalogue tables.  Exit codes: 0 success, 1 verification
 failures, 2 bad input, 3 bound not applicable or not supported, 4 budget
-exceeded.
+exceeded; every command's errors reach 2, 3 and 4 through ``_command``.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 from collections import Counter
+from functools import wraps
 from itertools import groupby
 from typing import NoReturn, Optional, Sequence
 
@@ -164,10 +165,28 @@ def main() -> None:
     """Signature-regex characteristics, bounds and brute-force certification."""
 
 
+def _command(name: str):
+    """Register a subcommand of ``main`` whose body runs inside the one
+    error boundary: no bound exits 3, an exceeded budget 4, bad input 2."""
+    def register(fn):
+        @wraps(fn)
+        def bounded(**params):
+            try:
+                return fn(**params)
+            except BoundError as exc:
+                _fail(3, str(exc))
+            except BudgetExceededError as exc:
+                _fail(4, str(exc))
+            except _INPUT_ERRORS as exc:
+                _fail(2, str(exc))
+        return main.command(name)(bounded)
+    return register
+
+
 # --------------------------------------------------------------------------
 # chars
 
-@main.command("chars")
+@_command("chars")
 @click.argument("pattern")
 @click.option("--lo", type=int, default=0, show_default=True, help="domain lower end")
 @click.option("--hi", type=int, default=1, show_default=True, help="domain upper end")
@@ -179,16 +198,13 @@ def main() -> None:
 def cmd_chars(pattern: str, lo: int, hi: int, n: Optional[int],
               cap: Optional[int], fmt: str) -> None:
     """Compute all characteristics of PATTERN over the domain [lo, hi]."""
-    try:
-        spec = _resolve(pattern)
-        d = Domain(lo, hi)
-        if n is None:
-            n = max(2, chars_mod.width(spec) + 1)
-        elif n < 2:
-            raise ValueError("series length must be at least 2")
-        rep = chars_mod.report(spec, d, n, cap)
-    except _INPUT_ERRORS as exc:
-        _fail(2, str(exc))
+    spec = _resolve(pattern)
+    d = Domain(lo, hi)
+    if n is None:
+        n = max(2, chars_mod.width(spec) + 1)
+    elif n < 2:
+        raise ValueError("series length must be at least 2")
+    rep = chars_mod.report(spec, d, n, cap)
     if fmt == "json":
         _emit_json(rep.to_json())
         return
@@ -218,7 +234,7 @@ def cmd_chars(pattern: str, lo: int, hi: int, n: Optional[int],
 # --------------------------------------------------------------------------
 # bound
 
-@main.command("bound")
+@_command("bound")
 @click.argument("gf")
 @click.argument("pattern")
 @click.option("--side", type=click.Choice(["lower", "upper"]), required=True)
@@ -232,18 +248,10 @@ def cmd_bound(gf: str, pattern: str, side: str, n: int, lo: int, hi: int,
 
     GF is nb, max_width, sum_width, min_width or <agg>_<feature>.
     """
-    try:
-        g, f = _parse_gf(gf)
-        spec = _resolve(pattern)
-        d = Domain(lo, hi)
-    except _INPUT_ERRORS as exc:
-        _fail(2, str(exc))
-    try:
-        res = bounds_mod.bound(g, f, Side(side), spec, n, d)
-    except BoundError as exc:
-        _fail(3, str(exc))
-    except _INPUT_ERRORS as exc:
-        _fail(2, str(exc))
+    g, f = _parse_gf(gf)
+    spec = _resolve(pattern)
+    d = Domain(lo, hi)
+    res = bounds_mod.bound(g, f, Side(side), spec, n, d)
     if fmt == "json":
         payload = {
             "pattern": spec.name, "g": g.value, "f": f.value,
@@ -278,29 +286,26 @@ def cmd_bound(gf: str, pattern: str, side: str, n: int, lo: int, hi: int,
 # --------------------------------------------------------------------------
 # eval
 
-@main.command("eval")
+@_command("eval")
 @click.argument("gf")
 @click.argument("pattern")
 @click.option("--series", required=True, help="comma-separated integers")
 @_format_option
 def cmd_eval(gf: str, pattern: str, series: str, fmt: str) -> None:
     """Evaluate the GF constraint on a concrete series."""
-    try:
-        g, f = _parse_gf(gf)
-        spec = _resolve(pattern)
-        if series == "-":
-            series = click.get_text_stream("stdin").read()
-        t = TimeSeries.from_text(series)
-        spans = _maximal_spans(spec, t.values)
-        feats = _features(spec, f, t.values, spans)
-        value = aggregate(g, feats)
-        details = []
-        for (i, j), feat in zip(spans, feats):
-            trim_lo, trim_hi = Occurrence(i, j).trimmed(spec.a, spec.b)
-            details.append({"i": i, "j": j, "trim_lo": trim_lo,
-                            "trim_hi": trim_hi, f.value: feat})
-    except _INPUT_ERRORS as exc:
-        _fail(2, str(exc))
+    g, f = _parse_gf(gf)
+    spec = _resolve(pattern)
+    if series == "-":
+        series = click.get_text_stream("stdin").read()
+    t = TimeSeries.from_text(series)
+    spans = _maximal_spans(spec, t.values)
+    feats = _features(spec, f, t.values, spans)
+    value = aggregate(g, feats)
+    details = []
+    for (i, j), feat in zip(spans, feats):
+        trim_lo, trim_hi = Occurrence(i, j).trimmed(spec.a, spec.b)
+        details.append({"i": i, "j": j, "trim_lo": trim_lo,
+                        "trim_hi": trim_hi, f.value: feat})
     if fmt == "json":
         _emit_json({
             "pattern": spec.name, "g": g.value, "f": f.value,
@@ -328,7 +333,7 @@ def cmd_eval(gf: str, pattern: str, series: str, fmt: str) -> None:
 # --------------------------------------------------------------------------
 # verify
 
-@main.command("verify")
+@_command("verify")
 @click.argument("names", nargs=-1)
 @click.option("--all", "run_all", is_flag=True, help="verify every catalogue pattern")
 @click.option("--gf", "gf_tokens", multiple=True,
@@ -345,38 +350,29 @@ def cmd_verify(names: tuple[str, ...], run_all: bool,
                gf_tokens: tuple[str, ...], max_n: int, domains: str,
                budget: int, fmt: str) -> None:
     """Certify bounds against exhaustive enumeration; exit 0 iff all pass."""
-    try:
-        if run_all:
-            specs = [entry.spec for entry in catalogue_mod.all_entries()]
-        elif names:
-            specs = [_resolve(name) for name in names]
-        else:
-            raise ValueError("give pattern names or --all")
-        for spec in specs:
-            chars_mod.width(spec)  # refuses a language with no nonempty word
-        doms = tuple(Domain.parse(tok) for tok in domains.split(","))
-        if max_n < 2:
-            raise ValueError("--max-n must be at least 2")
-        gf_list = (
-            GF_SUPPORTED if not gf_tokens
-            else tuple(dict.fromkeys(
-                combo for tok in gf_tokens for combo in _VERIFY_GF[tok]
-            ))
-        )
-        if budget < 0:
-            raise ValueError(f"budget must be nonnegative, got {budget}")
-    except _INPUT_ERRORS as exc:
-        _fail(2, str(exc))
-    try:
-        rep = oracle_mod.sharpness_report(
-            specs,
-            gf_list=gf_list,
-            n_range=range(2, max_n + 1),
-            domains=doms,
-            budget=budget,
-        )
-    except BudgetExceededError as exc:
-        _fail(4, str(exc))
+    if run_all:
+        specs = [entry.spec for entry in catalogue_mod.all_entries()]
+    elif names:
+        specs = [_resolve(name) for name in names]
+    else:
+        raise ValueError("give pattern names or --all")
+    for spec in specs:
+        chars_mod.width(spec)  # refuses a language with no nonempty word
+    doms = tuple(Domain.parse(tok) for tok in domains.split(","))
+    if max_n < 2:
+        raise ValueError("--max-n must be at least 2")
+    # no token walks every group, that is GF_SUPPORTED in rule order
+    gf_list = tuple(dict.fromkeys(
+        combo for tok in gf_tokens or _VERIFY_GF for combo in _VERIFY_GF[tok]))
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+    rep = oracle_mod.sharpness_report(
+        specs,
+        gf_list=gf_list,
+        n_range=range(2, max_n + 1),
+        domains=doms,
+        budget=budget,
+    )
     if fmt == "json":
         _emit_json(rep.to_json())
     elif fmt in ("md", "csv"):
@@ -428,7 +424,7 @@ _CLASS_ORDER = ["overlapping", "non-overlapping", "mixed", "special",
                 "unclassified"]
 
 
-@main.command("table")
+@_command("table")
 @click.argument("which", type=click.Choice(["patterns", "characteristics",
                                             "properties"]))
 @click.option("--diff-golden", is_flag=True,

@@ -20,7 +20,7 @@ every series of the shape, (span + 1) ** n of them; budgets count series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -122,11 +122,6 @@ class ExtremaResult:
         if has_occ:
             self.min_occ = min(self.min_occ, val)
             self.max_occ = max(self.max_occ, val)
-
-    def to_json(self):
-        out = {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
-        out["count"] = self.count
-        return out
 
 
 def check_budget(n: int, d: Domain, budget: int = DEFAULT_BUDGET) -> int:

@@ -50,14 +50,6 @@ class PropertyCheck:
             object.__setattr__(self, "witness",
                                MappingProxyType(self.witness))
 
-    def to_json(self):
-        return {
-            "property": self.prop,
-            "holds": self.holds,
-            "witness": None if self.witness is None else dict(self.witness),
-            "failed_condition": self.failed_condition,
-        }
-
 
 def _fail(prop: str, condition: str) -> PropertyCheck:
     return PropertyCheck(prop, False, None, condition)

@@ -8,7 +8,9 @@ from helpers import raw_universe
 
 from sigbounds import bounds as bd
 from sigbounds import catalogue
+from sigbounds import characteristics as ch
 from sigbounds.bounds import BoundResult, Side
+from sigbounds.characteristics import CharValue
 from sigbounds.oracle import brute_extrema
 from sigbounds.series import Aggregator, Domain, Feature, PatternSpec
 
@@ -127,6 +129,21 @@ class TestIntervalCap:
                     assert bd.interval_cap(spec, Domain(lo, lo + span)) \
                         == cap, (name, lo, span)
         assert sorted(calls) == sorted(product(expected, (1, 2, 3)))
+
+
+@pytest.mark.parametrize("reader, name", [("overlap", "overlap"),
+                                          ("smallest_variation", "variation")])
+def test_an_unsettled_characteristic_refuses_the_packing_bound(
+        monkeypatch, reader, name):
+    # the packing formulas read a settled overlap and variation, never a
+    # capped guess; a fresh spec has no memoized answer to read instead
+    monkeypatch.setattr(ch, reader,
+                        lambda spec, d, cap=None: CharValue.cap_limited(1, 6))
+    spec = PatternSpec(PEAK.name, PEAK.expr, PEAK.a, PEAK.b)
+    want = rf"^{name} not settled: cap_limited\(1, cap=6\)$"
+    with pytest.raises(bd.NotApplicableError, match=want):
+        bd.bound(Aggregator.SUM, Feature.ONE, Side.UPPER, spec, 9,
+                 Domain(0, 1))
 
 
 class TestMaxWidth:

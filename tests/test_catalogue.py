@@ -1,5 +1,7 @@
 """Named pattern catalogue: lookup, aliases, guarded reference values."""
 
+import dataclasses
+
 import pytest
 
 from sigbounds import catalogue as cat
@@ -129,3 +131,19 @@ class TestGoldenCheck:
         e = cat.lookup("s_dec_seq")
         rep = ch.report(e.spec, Domain(0, 4), n=5)
         assert cat.golden_check(e, rep) == []
+
+    @pytest.mark.parametrize("reference, value, field, expected", [
+        ("eta", 2, "height", 2),
+        ("ec", (9, 9), "range_params", (9, 9)),
+        ("delta_cases", (Case(7),), "variation[span=1]", 7),
+        ("range_cases", (Case(7),), "range[n=3]", 7),
+    ])
+    def test_each_changed_reference_is_named(self, reference, value, field,
+                                             expected):
+        # peak's report against its entry with one reference value changed
+        e = cat.lookup("peak")
+        rep = ch.report(e.spec, Domain(0, 1), n=3)
+        bad = cat.golden_check(dataclasses.replace(e, **{reference: value}),
+                               rep)
+        assert [(m["field"], m["expected"]) for m in bad] == \
+            [(field, expected)]

@@ -316,6 +316,19 @@ class TestOverlap:
         assert ch.default_cap(PEAK) == 6
         assert ch.default_cap(BUMP) == 12
 
+    @pytest.mark.parametrize("probes, want", [
+        ({4: 1, 6: 1}, CharValue.defined(1)),
+        ({4: None}, CharValue.undefined()),
+        ({4: 1, 6: None}, CharValue.undefined()),
+        ({4: 1, 5: None, 6: 2}, CharValue.undefined()),
+        ({4: 1, 5: 2, 6: 3}, CharValue.unbounded(6)),
+        ({4: 1, 5: 1, 6: 2}, CharValue.cap_limited(2, 6)),
+    ])
+    def test_stabilization_probes(self, probes, want):
+        # a synthetic measure at cap 4: a probe it has no entry for is
+        # one the protocol must not ask
+        assert ch._stabilize(probes.__getitem__, 4) == want
+
 
 class TestShift:
     def test_terrace_occurrences(self):

@@ -1,5 +1,5 @@
-"""End-to-end command-line checks through real subprocesses, and one
-in-process run whose bounds are patched to fail."""
+"""End-to-end command-line checks through real subprocesses, and
+in-process runs whose library calls are patched to fail."""
 
 import csv
 import dataclasses
@@ -9,14 +9,15 @@ import re
 import subprocess
 import sys
 
+import pytest
 from click.testing import CliRunner
 
 import sigbounds
-from sigbounds import bounds, cli
-from sigbounds.bounds import Side
+from sigbounds import bounds, characteristics, cli, oracle
+from sigbounds.bounds import BoundError, Side
 from sigbounds.catalogue import all_entries, lookup
-from sigbounds.oracle import (GF_SUPPORTED, SweepRow, brute_extrema,
-                              sharpness_report)
+from sigbounds.oracle import (GF_SUPPORTED, BudgetExceededError, SweepRow,
+                              brute_extrema, sharpness_report)
 from sigbounds.properties import overlap_class
 from sigbounds.series import Aggregator, Domain, Feature
 
@@ -503,3 +504,33 @@ def test_md_cells_escape_the_bar():
         assert cells == [cells[0]] * len(cells), args
     assert "| decreasing_sequence | (>(>\\|=)*)*> | 0 | 0 |" in run(
         "table", "patterns", "--format", "md").stdout
+
+
+# one library call each command makes, with arguments that reach it
+_COMMAND_CALLS = {
+    "chars": (characteristics, "report", ["chars", "peak"]),
+    "bound": (bounds, "bound",
+              ["bound", "nb", "peak", "--side", "upper", "--n", "9"]),
+    "eval": (cli, "_maximal_spans",
+             ["eval", "nb", "peak", "--series", FIGURE]),
+    "verify": (oracle, "sharpness_report", ["verify", "peak", "--max-n", "3"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_CALLS))
+@pytest.mark.parametrize("error, code", [(BoundError, 3),
+                                         (BudgetExceededError, 4),
+                                         (ValueError, 2)])
+def test_every_command_maps_an_error_to_its_exit_code(monkeypatch, command,
+                                                      error, code):
+    # one boundary maps the errors of every command alike, wherever in
+    # the library they are raised
+    module, name, args = _COMMAND_CALLS[command]
+
+    def refuse(*_args, **_kwargs):
+        raise error("refused here")
+
+    monkeypatch.setattr(module, name, refuse)
+    got = CliRunner().invoke(cli.main, args)
+    assert (got.exit_code, got.stdout, got.stderr) == \
+        (code, "", "error: refused here\n")

@@ -82,15 +82,6 @@ class TestBruteExtrema:
         assert ex.min_all == math.inf and ex.witness_min is None
         assert ex.witness_max == TimeSeries((0, 0))
 
-    def test_json_shape(self):
-        ex = orc.brute_extrema(PEAK, Feature.WIDTH, Aggregator.MAX,
-                               4, Domain(0, 1))
-        assert ex.to_json() == {
-            "n": 4, "domain": "0:1", "count": 16,
-            "min_all": 0, "max_all": 2, "min_occ": 1, "max_occ": 2,
-            "witness_min": "0,0,0,0", "witness_max": "0,1,1,0",
-        }
-
     def test_budget_refuses_oversized_cells(self):
         with pytest.raises(orc.BudgetExceededError):
             orc.check_budget(30, Domain(0, 1))

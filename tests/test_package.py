@@ -339,3 +339,19 @@ def test_per_row_records_skip_frozen_setattr():
     # and each bound result sets its fields into slots, not a dict
     assert issubclass(oracle.SweepRow, tuple)
     assert "__slots__" in vars(bounds.BoundResult)
+
+
+def test_one_boundary_maps_errors_to_exit_codes():
+    # the exit codes are one policy: one wrapper around every command
+    # turns an error into its code, and only verify's verdict exits
+    # otherwise, so no command body catches an error itself
+    tree = ast.parse((Path(sigbounds.__file__).parent / "cli.py")
+                     .read_text("utf-8"))
+    reads = _Reads({"_fail", "exit"})
+    reads.visit(tree)
+    assert reads.found == {("bounded", "_fail"), ("_fail", "exit"),
+                           ("cmd_verify", "exit")}
+    assert not [node.name for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("cmd_")
+                and any(isinstance(n, ast.Try) for n in ast.walk(node))]

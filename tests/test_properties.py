@@ -1,14 +1,13 @@
 """Structural property decisions and the witnesses they return."""
 
-import json
-
 import pytest
 
 from helpers import carries_maximal_per_word, raw_universe
 from sigbounds import catalogue as cat
 from sigbounds import characteristics as ch
 from sigbounds import properties as pr
-from sigbounds.properties import FixedLengthRegexError, PropertyCheck
+from sigbounds.characteristics import CharValue
+from sigbounds.properties import FixedLengthRegexError
 from sigbounds.series import Domain, PatternSpec, word_height
 
 PEAK = PatternSpec("peak", "<(<|=)*(>|=)*>", a=1, b=1)
@@ -16,6 +15,16 @@ DEC_TER = PatternSpec("dec_ter", ">=+>", a=1, b=1)
 DEC_SEQ = PatternSpec("dec_seq", "(>(>|=)*)*>")
 ZIGZAG = PatternSpec("zigzag", "(<>)+<(>|1)|(><)+>(<|1)", a=1, b=1)
 STEADY = PatternSpec("steady", "=")
+
+
+def _fresh(spec: PatternSpec) -> PatternSpec:
+    """An equal spec with an empty memo, so a patched reader is asked."""
+    return PatternSpec(spec.name, spec.expr, spec.a, spec.b)
+
+
+def _unsettled(spec, d, cap=None):
+    """What the cap probe answers when caps cap and cap + 2 disagree."""
+    return CharValue.cap_limited(1, 6)
 
 
 class TestOccurrenceFeasible:
@@ -141,6 +150,31 @@ class TestNbOverlap:
         assert got.holds
         assert got.witness["z1"] == "=="
 
+    def test_overlap_wider_than_the_pattern(self):
+        # === glued to itself shares three variables, more than the width
+        # of <<; the language is finite, so the probe settles it
+        spec = PatternSpec("r", "<<|===")
+        assert ch.overlap(spec, Domain(0, 2)) == CharValue.defined(3)
+        assert ch.width(spec) == 2
+        got = pr.nb_overlap(spec, Domain(0, 2))
+        assert (got.holds, got.failed_condition) == \
+            (False, "overlap-exceeds-width")
+
+    def test_unsettled_variation(self, monkeypatch):
+        monkeypatch.setattr(ch, "smallest_variation", _unsettled)
+        got = pr.nb_overlap(_fresh(PEAK), Domain(0, 1))
+        assert (got.holds, got.failed_condition) == \
+            (False, "variation-unsettled")
+
+    def test_gluings_must_rise_by_the_variation(self, monkeypatch):
+        # every shift gap one more than peak's variation 0
+        gap = ch._shift_gap
+        monkeypatch.setattr(ch, "_shift_gap",
+                            lambda spec, z, v, w: gap(spec, z, v, w) + 1)
+        got = pr.nb_overlap(_fresh(PEAK), Domain(0, 1))
+        assert (got.holds, got.failed_condition) == \
+            (False, "variation-equation")
+
 
 class TestNbNoOverlap:
     def test_decreasing_sequence_witness(self):
@@ -157,6 +191,14 @@ class TestNbNoOverlap:
         got = pr.nb_no_overlap(PEAK, Domain(0, 1))
         assert not got.holds
         assert got.failed_condition == "overlap-nonzero"
+
+    def test_needs_a_shortest_word_of_least_height(self):
+        # << is the shortest word, =<= the least high: no word is both
+        spec = PatternSpec("r", "<<|=<=")
+        assert ch.overlap(spec, Domain(0, 1)) == CharValue.defined(0)
+        assert pr.minimal_words(spec) == ()
+        got = pr.nb_no_overlap(spec, Domain(0, 1))
+        assert (got.holds, got.failed_condition) == (False, "no-minimal-word")
 
     def test_maximal_carrier_matches_a_scan_per_word(self):
         # the shared backward walk against every signature scanned on its
@@ -263,25 +305,21 @@ class TestOverlapClass:
         got = {e.name: pr.overlap_class(e.spec) for e in cat.all_entries()}
         assert got == expected
 
+    def test_unsettled_overlap_is_unclassified(self, monkeypatch):
+        monkeypatch.setattr(ch, "overlap", _unsettled)
+        assert pr.overlap_class(_fresh(PEAK)) == "unclassified"
+
+
+@pytest.mark.parametrize("check", [pr.nb_overlap, pr.nb_no_overlap,
+                                   pr.width_sum])
+def test_an_unsettled_overlap_fails_every_check_reading_it(monkeypatch,
+                                                           check):
+    monkeypatch.setattr(ch, "overlap", _unsettled)
+    got = check(_fresh(PEAK), Domain(0, 1))
+    assert (got.holds, got.failed_condition) == (False, "overlap-unsettled")
+
 
 class TestPropertyCheck:
-    def test_json_shape(self):
-        ok = PropertyCheck("nb-simple", True, {"k": 1})
-        assert ok.to_json() == {
-            "property": "nb-simple", "holds": True,
-            "witness": {"k": 1}, "failed_condition": None,
-        }
-        bad = pr.nb_overlap(DEC_TER, Domain(0, 2))
-        assert bad.to_json() == {
-            "property": "nb-overlap", "holds": False,
-            "witness": None, "failed_condition": "no-superposition",
-        }
-        # a frozen list still prints as a JSON list
-        assert json.dumps(pr.nb_simple(PEAK, Domain(0, 0)).to_json()) == (
-            '{"property": "nb-simple", "holds": true, "witness": '
-            '{"inducing": ["<>"], "avoiding_series": "constant"}, '
-            '"failed_condition": null}')
-
     def test_a_witness_cannot_be_changed(self):
         for check in (pr.nb_simple(DEC_SEQ, Domain(0, 1)),
                       pr.nb_no_overlap(DEC_SEQ, Domain(0, 1)),
@@ -290,12 +328,12 @@ class TestPropertyCheck:
                       pr.width_sum(PEAK, Domain(0, 1)),
                       pr.width_occurrence(PEAK, Domain(0, 1))):
             assert check.holds, check
-            before = check.to_json()
+            before = dict(check.witness)
             with pytest.raises(TypeError):
                 check.witness["v"] = "changed"
             for value in check.witness.values():
                 assert isinstance(value, (str, int, tuple)), check
-            assert check.to_json() == before
+            assert dict(check.witness) == before
 
     def test_equal_questions_share_one_memo_entry(self):
         spec = PatternSpec(PEAK.name, PEAK.expr, PEAK.a, PEAK.b)
